@@ -19,7 +19,7 @@ from enum import Enum
 from .exactreal import (
     ExactReal,
     Rational,
-    _coerce,
+    _exact,
     floor_exact,
     frac_part,
     is_zero,
@@ -27,16 +27,10 @@ from .exactreal import (
 from .pcf import (
     PCFExpansion,
     PartialQuotient,
+    _pairs_text,
     convergents,
     pcf_step,
 )
-
-
-def _exact(v) -> ExactReal:
-    out = _coerce(v)
-    if out is None:
-        raise TypeError(f"expected an exact value, got {type(v).__name__}")
-    return out
 
 
 class BoundTooSmall(RuntimeError):
@@ -400,7 +394,7 @@ def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
         rows.append({
             "x": x_text, "p": p, "q": q_odd, "parity": "odd",
             "realizable": True,
-            "witness": _witness_text(odd_witness), "cutoff": "",
+            "witness": _pairs_text(odd_witness.quotients), "cutoff": "",
         })
         witness = realizable_as_q2(x, p)
         if oracle:
@@ -411,16 +405,11 @@ def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
         rows.append({
             "x": x_text, "p": p, "q": q_even, "parity": "even",
             "realizable": witness is not None,
-            "witness": _witness_text(witness),
+            "witness": _pairs_text(witness.quotients)
+            if witness is not None else "",
             "cutoff": q2_cutoff_check(x, q_even).value,
         })
     return rows
-
-
-def _witness_text(witness: RealizationWitness | None) -> str:
-    if witness is None:
-        return ""
-    return " ".join(f"{q.a}/{q.b}" for q in witness.quotients)
 
 
 def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:

@@ -3,12 +3,13 @@ growth estimates, y(x) scatter data, and rational enumeration.
 
 Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
-identical.  Exit codes: 0 success, 2 bad input, 3 interval precision
-exhausted, 4 internal invariant violation.
+identical.  Exit codes: 0 success, 2 bad input (including a count flag
+out of range, or a value that cannot be evaluated exactly), 4 internal
+invariant violation.
 
-The common flags --precision-bits, --seed, --format and --out can also be
-set through the environment (PROPCF_PRECISION_BITS, PROPCF_SEED,
-PROPCF_FORMAT, PROPCF_OUT); an explicit flag wins over the environment.
+The common flags --seed, --format and --out can also be set through the
+environment (PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag
+wins over the environment.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from itertools import repeat
 from pathlib import Path
 
 from .exactreal import (
-    ParseError,
-    PrecisionExhausted,
     Rational,
     parse_exact,
-    set_default_precision,
     to_text,
 )
 from .pcf import (
     MiddleCaseError,
     PCFExpansion,
+    _pairs_text,
     convergents,
     enumerate_rational_expansions,
     expand,
@@ -61,11 +60,9 @@ from .gauss2d import (
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_PRECISION = 3
 EXIT_INVARIANT = 4
 
 _ENV = {
-    "precision_bits": "PROPCF_PRECISION_BITS",
     "seed": "PROPCF_SEED",
     "output_format": "PROPCF_FORMAT",
     "out": "PROPCF_OUT",
@@ -73,6 +70,9 @@ _ENV = {
 
 _DEFAULT_LEN = 12
 _SCHEMA = 1
+
+# count flags of the subcommands, with the least value each accepts
+_COUNT_FLAGS = (("orbits", 1), ("len", 1), ("limit", 0))
 
 
 class UsageError(ValueError):
@@ -83,15 +83,12 @@ class UsageError(ValueError):
 class RunConfig:
     """Settings shared by every subcommand."""
 
-    precision_bits: int = 4096
     seed: int = 0
     output_format: str = "json"
     orbit_length: int = 100
     search_bound: int | None = None
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise UsageError("precision-bits must be at least 64")
         if not (0 <= self.seed < 1 << 64):
             raise UsageError("seed must fit in 64 bits")
         if self.output_format not in ("json", "csv"):
@@ -299,14 +296,12 @@ def _classify_by_q(x, x_text: str, low: int, high: int, config: RunConfig,
                     raise InvariantViolation(
                         "divisor criterion and brute force disagree "
                         f"at q={q}")
-        witness_text = " ".join(
-            f"{quot.a}/{quot.b}" for quot in witness.quotients) \
-            if witness is not None else ""
         rows.append({
             "x": x_text, "q": q,
             "p_even": p_even, "p_odd": p_odd,
             "even_realizable": realizable,
-            "witness": witness_text,
+            "witness": _pairs_text(witness.quotients)
+            if witness is not None else "",
             "cutoff": q2_cutoff_check(x, q).value,
         })
     header = ["x", "q", "p_even", "p_odd", "even_realizable", "witness",
@@ -339,10 +334,6 @@ def cmd_classify(args, config: RunConfig):
         "rows": [{key: _cell(row[key]) for key in header} for row in rows],
     }
     return doc, [("candidates", header, rows)]
-
-
-def _witness_pairs_text(quotients) -> str:
-    return " ".join(f"{a}/{b}" for a, b in quotients)
 
 
 def cmd_simulate(args, config: RunConfig):
@@ -464,7 +455,7 @@ def cmd_rational(args, config: RunConfig):
     rows = [{
         "index": i,
         "length": len(e),
-        "pairs": _witness_pairs_text(e.pairs()),
+        "pairs": _pairs_text(e.quotients),
     } for i, e in enumerate(expansions)]
     if args.limit is not None:
         rows = rows[:args.limit]
@@ -487,8 +478,6 @@ def cmd_rational(args, config: RunConfig):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int, default=None,
-                        help="interval refinement budget (default 4096)")
     common.add_argument("--seed", type=int, default=None,
                         help="64-bit master seed (default 0)")
     common.add_argument("--format", choices=("json", "csv"), default=None,
@@ -568,10 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> tuple[RunConfig, str | None]:
+    for name, least in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{name} must be at least {least}")
     orbit_length = getattr(args, "n", None)
     config = RunConfig(
-        precision_bits=_env_or("precision_bits", args.precision_bits,
-                               4096, int),
         seed=_env_or("seed", args.seed, 0, int),
         output_format=_env_or("output_format", args.format, "json", str),
         orbit_length=orbit_length if orbit_length is not None else 100,
@@ -586,12 +577,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config, out = _config_from(args)
-        set_default_precision(config.precision_bits)
         doc, tables = args.func(args, config)
         _emit(doc, tables, config, out)
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
     except (InvariantViolation, MiddleCaseError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -1,17 +1,14 @@
-"""Exact real arithmetic: rationals, quadratic surds, and refinable intervals.
+"""Exact real arithmetic: rationals and quadratic surds.
 
-Three representations share one operator interface:
+Two representations share one operator interface:
 
 * ``Rational`` -- arbitrary-precision p/q in lowest terms.
 * ``Surd`` -- (p + q*sqrt(d))/r with d square-free, kept in a unique
   canonical form; arithmetic stays inside a single quadratic field.
-* ``Interval`` -- a dyadic enclosure of a computable number together with
-  a refiner callable; refinement is pure (it returns a fresh, tighter
-  interval) and bounded by a per-value bit budget.
 
-Mixed expressions lift exact operands into intervals as needed.  Floors,
-fractional parts, signs and comparisons are exact for rationals and surds;
-for intervals they refine until decidable or raise ``PrecisionExhausted``.
+Floors, fractional parts, signs and comparisons are exact, and all of
+them are decided in integer arithmetic; comparisons also work across
+quadratic fields, where sums and products raise ``IncompatibleSurds``.
 Floats never mix in: convert out with ``float(v)`` at the edge.
 """
 from __future__ import annotations
@@ -19,25 +16,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt
-
-_DEFAULT_PRECISION_BITS = 4096
-
-
-def set_default_precision(bits: int) -> None:
-    """Set the module-wide refinement budget (bits) for new intervals."""
-    global _DEFAULT_PRECISION_BITS
-    if bits < 64:
-        raise ValueError("precision budget below 64 bits is not usable")
-    _DEFAULT_PRECISION_BITS = int(bits)
-
-
-def get_default_precision() -> int:
-    return _DEFAULT_PRECISION_BITS
-
-
-class PrecisionExhausted(ArithmeticError):
-    """An interval's refinement budget ran out before a query was decidable."""
-
 
 class IncompatibleSurds(ArithmeticError):
     """Arithmetic attempted between surds from different quadratic fields."""
@@ -51,37 +29,41 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_MAX_RADICAND = 10**18
 _SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """Return (root, core) with n == root**2 * core and core square-free."""
+    """Return (root, core) with n == root**2 * core and core square-free.
+
+    Trial division runs up to n^(1/3) (at most 10^6 divisors at the
+    ceiling ``_MAX_RADICAND``); what is left has at most two prime factors,
+    so one perfect-square test finishes the decomposition.
+    """
     if n <= 0:
         raise ValueError("radicand must be positive")
     hit = _SQUAREFREE_CACHE.get(n)
     if hit is not None:
         return hit
-    if n < 1_000_000:
-        root, core, m, f = 1, 1, n, 2
-        while f * f <= m:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            if e:
-                root *= f ** (e // 2)
-                if e % 2:
-                    core *= f
-            f += 1 if f == 2 else 2
-        core *= m  # leftover prime
+    if n > _MAX_RADICAND:
+        raise ValueError(f"radicand {n} is above the supported ceiling 10**18")
+    root, core, m, f = 1, 1, n, 2
+    while f * f <= m and f * f * f <= n:
+        e = 0
+        while m % f == 0:
+            m //= f
+            e += 1
+        if e:
+            root *= f ** (e // 2)
+            if e % 2:
+                core *= f
+        f += 1 if f == 2 else 2
+    # m is 1, a prime, a product of two distinct primes, or a prime squared
+    s = isqrt(m)
+    if s * s == m:
+        root *= s
     else:
-        from sympy import factorint
-
-        root, core = 1, 1
-        for prime, exp in factorint(n).items():
-            root *= prime ** (exp // 2)
-            if exp % 2:
-                core *= prime
+        core *= m
     _SQUAREFREE_CACHE[n] = (root, core)
     return root, core
 
@@ -201,11 +183,8 @@ class Rational(ExactReal):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Rational):
-            return self.num == o.num and self.den == o.den
-        if isinstance(o, Surd):
-            return False  # a canonical surd is irrational
-        return NotImplemented
+        # a canonical surd is irrational
+        return isinstance(o, Rational) and self.num == o.num and self.den == o.den
 
     def __float__(self):
         return float(Fraction(self.num, self.den))
@@ -261,15 +240,14 @@ class Surd(ExactReal):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Surd):
-            return (self.p, self.q, self.d, self.r) == (o.p, o.q, o.d, o.r)
-        if isinstance(o, Rational):
-            return False
-        return NotImplemented
+        return isinstance(o, Surd) and (
+            (self.p, self.q, self.d, self.r) == (o.p, o.q, o.d, o.r))
 
     def __float__(self):
-        lo, hi = _surd_refiner(self.p, self.q, self.d, self.r)(80)
-        return float((lo + hi) / 2)
+        # the midpoint of the 80-bit isqrt enclosure of q*sqrt(d), rounded once
+        s = isqrt(self.q * self.q * self.d << 160)
+        mid = 2 * s + 1 if self.q > 0 else -2 * s - 1
+        return ((self.p << 81) + mid) / (self.r << 81)
 
 
 def sqrt_exact(n) -> ExactReal:
@@ -293,94 +271,6 @@ def sqrt_exact(n) -> ExactReal:
 GOLDEN = Surd(-1, 1, 5, 2)
 
 
-def _surd_refiner(p, q, d, r):
-    n = q * q * d
-
-    def refine(bits):
-        s = isqrt(n << (2 * bits))
-        lo_t = Fraction(s, 1 << bits)
-        hi_t = Fraction(s + 1, 1 << bits)
-        if q < 0:
-            lo_t, hi_t = -hi_t, -lo_t
-        return (p + lo_t) / r, (p + hi_t) / r
-
-    return refine
-
-
-class Interval(ExactReal):
-    """Dyadic enclosure [lo, hi] of a number, with a pure ``refiner``.
-
-    ``refiner(bits)`` must return an enclosure of width <= 2**-bits.
-    ``refined(bits)`` re-evaluates it, enforcing this interval's bit budget.
-    Composites built by arithmetic pad the precision they request from
-    their operands, so an operand with a smaller budget raises
-    ``PrecisionExhausted`` through the composite.
-    """
-
-    __slots__ = ("refiner", "budget", "bits", "lo", "hi")
-
-    def __init__(self, refiner, budget=None, bits: int = 32):
-        self.refiner = refiner
-        self.budget = _DEFAULT_PRECISION_BITS if budget is None else budget
-        self.bits = min(bits, self.budget)
-        self.lo, self.hi = refiner(self.bits)
-        if self.lo > self.hi:
-            raise ValueError("refiner produced an empty interval")
-
-    def refined(self, bits: int) -> "Interval":
-        if bits > self.budget:
-            raise PrecisionExhausted(f"needed {bits} bits, budget is {self.budget}")
-        return Interval(self.refiner, self.budget, bits)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def encloses(self, value) -> bool:
-        """Exact containment check for a Rational/Surd/int/Fraction."""
-        v = _coerce(value)
-        lo = Rational(self.lo.numerator, self.lo.denominator)
-        hi = Rational(self.hi.numerator, self.hi.denominator)
-        return bool(lo <= v) and bool(v <= hi)
-
-    def _mag_bits(self) -> int:
-        m = max(abs(self.lo), abs(self.hi))
-        return (m.numerator // m.denominator).bit_length() + 1
-
-    def __repr__(self):
-        mid = float((self.lo + self.hi) / 2)
-        return f"Interval(~{mid:.6g}, bits={self.bits}, budget={self.budget})"
-
-    __str__ = __repr__
-
-    def __hash__(self):
-        return object.__hash__(self)
-
-    def __eq__(self, other):
-        return NotImplemented
-
-    def __float__(self):
-        cur = self
-        want = min(64, self.budget)
-        if cur.bits < want:
-            cur = self.refined(want)
-        return float((cur.lo + cur.hi) / 2)
-
-
-def exact_to_interval(v: ExactReal, budget=None) -> Interval:
-    """Wrap a Rational or Surd as an interval (exact values get an
-    unlimited budget; their enclosures cost nothing to tighten)."""
-    if isinstance(v, Interval):
-        return v
-    if budget is None:
-        budget = float("inf")
-    if isinstance(v, Rational):
-        f = v.as_fraction()
-        return Interval(lambda bits: (f, f), budget=budget)
-    if isinstance(v, Surd):
-        return Interval(_surd_refiner(v.p, v.q, v.d, v.r), budget=budget)
-    raise TypeError(f"not an exact value: {v!r}")
-
-
 def _coerce(v):
     if isinstance(v, ExactReal):
         return v
@@ -389,6 +279,15 @@ def _coerce(v):
     if isinstance(v, Fraction):
         return Rational(v.numerator, v.denominator)
     return None
+
+
+def _exact(v) -> ExactReal:
+    """``_coerce`` for arguments that must be exact: anything else is a
+    TypeError."""
+    out = _coerce(v)
+    if out is None:
+        raise TypeError(f"expected an exact value, got {type(v).__name__}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +314,6 @@ def _as_same_field(u, v):
 def _add(u, v):
     if isinstance(u, Rational) and isinstance(v, Rational):
         return Rational(u.num * v.den + v.num * u.den, u.den * v.den)
-    if isinstance(u, Interval) or isinstance(v, Interval):
-        return _interval_add(exact_to_interval(u), exact_to_interval(v))
     a, b = _as_same_field(u, v)
     return Surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.d, a.r * b.r)
 
@@ -424,8 +321,6 @@ def _add(u, v):
 def _mul(u, v):
     if isinstance(u, Rational) and isinstance(v, Rational):
         return Rational(u.num * v.num, u.den * v.den)
-    if isinstance(u, Interval) or isinstance(v, Interval):
-        return _interval_mul(exact_to_interval(u), exact_to_interval(v))
     a, b = _as_same_field(u, v)
     return Surd(a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.d, a.r * b.r)
 
@@ -433,14 +328,7 @@ def _mul(u, v):
 def _neg(u):
     if isinstance(u, Rational):
         return Rational(-u.num, u.den)
-    if isinstance(u, Surd):
-        return Surd(-u.p, -u.q, u.d, u.r)
-
-    def refine(bits):
-        c = u.refined(bits)
-        return -c.hi, -c.lo
-
-    return Interval(refine, budget=u.budget, bits=u.bits)
+    return Surd(-u.p, -u.q, u.d, u.r)
 
 
 def _recip(u):
@@ -448,101 +336,48 @@ def _recip(u):
         if u.num == 0:
             raise ZeroDivisionError("division by exact zero")
         return Rational(u.den, u.num)
-    if isinstance(u, Surd):
-        # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d)
-        norm = u.p * u.p - u.q * u.q * u.d
-        return Surd(u.r * u.p, -u.r * u.q, u.d, norm)
-    return _interval_recip(u)
+    # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d)
+    norm = u.p * u.p - u.q * u.q * u.d
+    return Surd(u.r * u.p, -u.r * u.q, u.d, norm)
+
+
+def _root_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) for integers p, q and a square-free d > 1."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs: the larger of p^2 and q^2 d wins (never equal)
+    return (1 if p > 0 else -1) if p * p > q * q * d else (1 if q > 0 else -1)
 
 
 def _sign(u) -> int:
     if isinstance(u, Rational):
         return (u.num > 0) - (u.num < 0)
-    if isinstance(u, Surd):
-        p, q = u.p, u.q
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        pp, qq = p * p, q * q * u.d  # compare |p| with |q|sqrt(d)
-        big = 1 if pp > qq else -1
-        return big if p > 0 else -big
-    return _interval_sign(u)
-
-
-def sign_exact(v) -> int:
-    return _sign(_coerce(v))
+    return _root_sign(u.p, u.q, u.d)  # r > 0
 
 
 def _diff_sign(u, v) -> int:
-    """Sign of u - v.  Surds from different fields compare through interval
-    refinement: two distinct algebraic numbers always separate at some
-    precision, and cross-field values are never equal."""
+    """Sign of u - v, decided in integers.
+
+    Values that share a field subtract.  For surds u in Q(sqrt d1) and v in
+    Q(sqrt d2) with d1 != d2, write r1*r2*(u - v) = X - C*sqrt(d2) with
+    X = A + B*sqrt(d1).  When X and C*sqrt(d2) differ in sign, X's sign
+    is the answer; otherwise the answer is that sign times the sign of
+    X^2 - C^2 d2 = (A^2 + B^2 d1 - C^2 d2) + 2AB*sqrt(d1), one more
+    same-field sign.  The result is never 0, because 1, sqrt(d1) and
+    sqrt(d2) are linearly independent over the rationals.
+    """
     try:
         return _sign(_add(u, _neg(v)))
     except IncompatibleSurds:
-        a = exact_to_interval(u)
-        b = exact_to_interval(_neg(v))
-        return _interval_sign(_interval_add(a, b))
-
-
-# ---------------------------------------------------------------------------
-# interval arithmetic
-
-
-def _interval_add(a: Interval, b: Interval) -> Interval:
-    def refine(bits):
-        ca, cb = a.refined(bits + 2), b.refined(bits + 2)
-        return ca.lo + cb.lo, ca.hi + cb.hi
-
-    return Interval(refine, budget=min(a.budget, b.budget), bits=min(a.bits, b.bits))
-
-
-def _interval_mul(a: Interval, b: Interval) -> Interval:
-    pad_a, pad_b = b._mag_bits() + 2, a._mag_bits() + 2
-
-    def refine(bits):
-        ca, cb = a.refined(bits + pad_a), b.refined(bits + pad_b)
-        prods = (ca.lo * cb.lo, ca.lo * cb.hi, ca.hi * cb.lo, ca.hi * cb.hi)
-        return min(prods), max(prods)
-
-    return Interval(refine, budget=min(a.budget, b.budget), bits=min(a.bits, b.bits))
-
-
-def _interval_separate_zero(a: Interval) -> Interval:
-    cur, bits = a, a.bits
-    while cur.lo <= 0 <= cur.hi:
-        if cur.lo == cur.hi:  # degenerate exact zero can never separate
-            raise ZeroDivisionError("division by exact zero")
-        bits = max(2 * bits, 32)
-        cur = a.refined(bits)  # raises PrecisionExhausted past the budget
-    return cur
-
-
-def _interval_recip(a: Interval) -> Interval:
-    cur = _interval_separate_zero(a)
-    low_mag = min(abs(cur.lo), abs(cur.hi))
-    # m such that |value| >= 2^-m, taken from the verified-nonzero enclosure
-    m = max(1, (low_mag.denominator // low_mag.numerator).bit_length() + 1)
-
-    def refine(bits):
-        c = a.refined(bits + 2 * m + 3)
-        return 1 / c.hi, 1 / c.lo
-
-    return Interval(refine, budget=a.budget, bits=cur.bits)
-
-
-def _interval_sign(a: Interval) -> int:
-    if a.lo > 0:
-        return 1
-    if a.hi < 0:
-        return -1
-    if a.lo == a.hi == 0:
-        return 0
-    cur = _interval_separate_zero(a)  # PrecisionExhausted if truly zero
-    return 1 if cur.lo > 0 else -1
+        a = u.p * v.r - v.p * u.r
+        b = u.q * v.r
+        c = v.q * u.r
+        s = _root_sign(a, b, u.d)
+        if s != (1 if c > 0 else -1):
+            return s
+        return s * _root_sign(a * a + b * b * u.d - c * c * v.d, 2 * a * b, u.d)
 
 
 # ---------------------------------------------------------------------------
@@ -550,44 +385,24 @@ def _interval_sign(a: Interval) -> int:
 
 
 def floor_exact(v) -> int:
-    """Exact floor; intervals refine until both endpoints agree."""
+    """Exact floor, from one integer square root for a surd."""
     v = _coerce(v)
     if isinstance(v, Rational):
         return v.num // v.den
-    if isinstance(v, Surd):
-        s = isqrt(v.q * v.q * v.d)
-        root_floor = s if v.q > 0 else -s - 1  # q*sqrt(d) is irrational
-        return (v.p + root_floor) // v.r
-    cur, bits = v, v.bits
-    while True:
-        flo = cur.lo.numerator // cur.lo.denominator
-        fhi = cur.hi.numerator // cur.hi.denominator
-        if flo == fhi:
-            return flo
-        bits = max(2 * bits, 32)
-        cur = v.refined(bits)
+    s = isqrt(v.q * v.q * v.d)
+    root_floor = s if v.q > 0 else -s - 1  # q*sqrt(d) is irrational
+    return (v.p + root_floor) // v.r
 
 
 def frac_part(v) -> ExactReal:
     """v - floor(v), exactly; the value lies in [0, 1)."""
     v = _coerce(v)
-    n = floor_exact(v)
-    if isinstance(v, Interval):
-        def refine(bits):
-            c = v.refined(bits)
-            return c.lo - n, c.hi - n
-
-        return Interval(refine, budget=v.budget, bits=v.bits)
-    return _add(v, Rational(-n))
+    return _add(v, Rational(-floor_exact(v)))
 
 
 def is_zero(v) -> bool:
     v = _coerce(v)
-    if isinstance(v, Rational):
-        return v.num == 0
-    if isinstance(v, Surd):
-        return False
-    return _interval_sign(v) == 0
+    return isinstance(v, Rational) and v.num == 0
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +523,19 @@ class _Parser:
 
 def parse_exact(text: str) -> ExactReal:
     """Parse "p/q", decimal literals, sqrt combinations like "(sqrt5-1)/2"
-    or "(3-sqrt(17))/2", and the alias "golden"."""
+    or "(3-sqrt(17))/2", and the alias "golden".
+
+    Text that scans but cannot be evaluated exactly (a division by zero,
+    or surds from two quadratic fields in one sum or product) is a
+    ``ParseError`` too.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty input", 0)
     p = _Parser(text)
-    value = p.expr()
+    try:
+        value = p.expr()
+    except (ZeroDivisionError, IncompatibleSurds) as exc:
+        raise ParseError(f"cannot evaluate {text!r}: {exc}") from None
     k, v, pos = p.peek()
     if k != "end":
         raise ParseError(f"trailing input {v!r}", pos)

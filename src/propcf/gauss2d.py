@@ -24,11 +24,9 @@ import numpy as np
 
 from .exactreal import (
     ExactReal,
-    Interval,
-    PrecisionExhausted,
     Rational,
     Surd,
-    _coerce,
+    _exact,
     floor_exact,
     is_zero,
     sqrt_exact,
@@ -53,13 +51,6 @@ class OnBoundary(ValueError):
     """The point sits on a cylinder gridline, in no open cell."""
 
 
-def _exact(v) -> ExactReal:
-    out = _coerce(v)
-    if out is None:
-        raise TypeError(f"expected an exact value, got {type(v).__name__}")
-    return out
-
-
 @dataclass(frozen=True)
 class JointState:
     """A point of the closed unit square plus how many steps produced it."""
@@ -73,7 +64,7 @@ class JointState:
         object.__setattr__(self, "y", _exact(self.y))
         for name in ("x", "y"):
             v = getattr(self, name)
-            if not isinstance(v, Interval) and not (0 <= v and v <= 1):
+            if not (0 <= v and v <= 1):
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.step < 0:
             raise ValueError("step count cannot be negative")
@@ -102,15 +93,9 @@ class CylinderAddress:
         return Fraction(1, self.a + 1), Fraction(1, self.a)
 
 
-def joint_step(state: JointState) -> tuple[JointState, CylinderAddress]:
-    """One application of the map; also reports which cylinder was used.
-
-    The inverse branch x_prev = a/(b + x), y_prev = 1/(a + y) recovers the
-    input exactly.
-    """
-    x, y = state.x, state.y
-    x_dead = not isinstance(x, Interval) and is_zero(x)
-    y_dead = not isinstance(y, Interval) and is_zero(y)
+def _step(x, y) -> tuple[int, int, ExactReal, ExactReal]:
+    """The map on bare coordinates: digits a, b and the image (x', y')."""
+    x_dead, y_dead = is_zero(x), is_zero(y)
     if x_dead or y_dead:
         raise ZeroCoordinate("both" if x_dead and y_dead else
                              "x" if x_dead else "y")
@@ -118,8 +103,17 @@ def joint_step(state: JointState) -> tuple[JointState, CylinderAddress]:
     a = floor_exact(inv_y)
     ratio = a / x
     b = floor_exact(ratio)
-    nxt = JointState(ratio - b, inv_y - a, state.step + 1)
-    return nxt, CylinderAddress(a, b)
+    return a, b, ratio - b, inv_y - a
+
+
+def joint_step(state: JointState) -> tuple[JointState, CylinderAddress]:
+    """One application of the map; also reports which cylinder was used.
+
+    The inverse branch x_prev = a/(b + x), y_prev = 1/(a + y) recovers the
+    input exactly.
+    """
+    a, b, x, y = _step(state.x, state.y)
+    return JointState(x, y, state.step + 1), CylinderAddress(a, b)
 
 
 def cylinder_of(state: JointState) -> CylinderAddress:
@@ -147,7 +141,7 @@ class OrbitRecord:
     """Digits, convergents and growth samples of one orbit.
 
     ``terminated_by`` is None for a full-length run, otherwise one of
-    "x_zero", "y_zero", "both_zero", "precision".
+    "x_zero", "y_zero", "both_zero".
     """
 
     digits: tuple[tuple[int, int], ...]
@@ -169,32 +163,22 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
     """n exact joint steps from (x0, y0), or as many as exist.
 
     Rational seeds can genuinely terminate (a coordinate's expansion is
-    finite); interval seeds can exhaust their precision budget.  Both end
-    the record early with the reason noted, never an exception.
+    finite); that ends the record early with the reason noted, never an
+    exception.
     """
     if n < 0:
         raise ValueError("orbit length cannot be negative")
     x, y = _exact(x0), _exact(y0)
     for name, v in (("x0", x), ("y0", y)):
-        if not isinstance(v, Interval) and not (Rational(0) < v < Rational(1)):
+        if not (Rational(0) < v < Rational(1)):
             raise ValueError(f"{name} must lie in (0, 1)")
     digits: list[tuple[int, int]] = []
     terminated_by = None
     for _ in range(n):
         try:
-            x_dead = not isinstance(x, Interval) and is_zero(x)
-            y_dead = not isinstance(y, Interval) and is_zero(y)
-            if x_dead or y_dead:
-                terminated_by = ("both_zero" if x_dead and y_dead else
-                                 "x_zero" if x_dead else "y_zero")
-                break
-            inv_y = 1 / y
-            a = floor_exact(inv_y)
-            ratio = a / x
-            b = floor_exact(ratio)
-            x, y = ratio - b, inv_y - a
-        except PrecisionExhausted:
-            terminated_by = "precision"
+            a, b, x, y = _step(x, y)
+        except ZeroCoordinate as exc:
+            terminated_by = f"{exc.coordinate}_zero"
             break
         digits.append((a, b))
     cs = ConvergentSeq(digits)

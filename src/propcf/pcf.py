@@ -17,7 +17,6 @@ from math import gcd
 
 from .exactreal import (
     ExactReal,
-    Interval,
     Rational,
     floor_exact,
     is_zero,
@@ -75,9 +74,8 @@ class PCFExpansion:
         if t is None:
             raise TypeError("tail must be an exact value")
         object.__setattr__(self, "tail", t)
-        if not isinstance(t, Interval):
-            if t < 0 or t >= 1:
-                raise ValueError("tail must lie in [0, 1)")
+        if t < 0 or t >= 1:
+            raise ValueError("tail must lie in [0, 1)")
 
     @classmethod
     def from_pairs(cls, pairs, tail=Rational(0)) -> "PCFExpansion":
@@ -93,7 +91,7 @@ class PCFExpansion:
         return [q.b for q in self.quotients]
 
     def is_complete(self) -> bool:
-        return not isinstance(self.tail, Interval) and is_zero(self.tail)
+        return is_zero(self.tail)
 
     def __len__(self):
         return len(self.quotients)
@@ -113,7 +111,7 @@ def pcf_step(x: ExactReal, numerator: int) -> tuple[int, ExactReal]:
     if not isinstance(numerator, int) or numerator < 1:
         raise ValueError(f"numerator must be a positive integer, got {numerator!r}")
     x = _coerce(x)
-    if not isinstance(x, Interval) and not (Rational(0) < x < Rational(1)):
+    if not (Rational(0) < x < Rational(1)):
         raise ValueError("pcf_step needs 0 < x < 1")
     ratio = Rational(numerator) / x
     b = floor_exact(ratio)
@@ -124,8 +122,7 @@ def expand(x, numerators, max_len: int | None = None) -> PCFExpansion:
     """Expand x with the given numerator stream.
 
     Args:
-        x: exact value in (0,1) (an Interval works too, but then pass
-           max_len and make sure the value cannot terminate).
+        x: exact value in (0,1).
         numerators: iterable of positive ints, consumed one per digit.
         max_len: optional cap on the number of digits.
 
@@ -140,7 +137,7 @@ def expand(x, numerators, max_len: int | None = None) -> PCFExpansion:
     for a in numerators:
         if max_len is not None and len(quotients) >= max_len:
             break
-        if not isinstance(x, Interval) and is_zero(x):
+        if is_zero(x):
             break
         b, x = pcf_step(x, a)
         quotients.append(PartialQuotient(a, b))
@@ -192,6 +189,12 @@ class ConvergentSeq:
 
     def __len__(self):
         return self.length
+
+
+def _pairs_text(quotients) -> str:
+    """Digit pairs as "a1/b1 a2/b2 ...", the text of a witness or an
+    expansion in an output table."""
+    return " ".join(f"{q.a}/{q.b}" for q in quotients)
 
 
 def convergents(expansion: PCFExpansion) -> ConvergentSeq:
@@ -356,8 +359,6 @@ def one_minus_transform(expansion: PCFExpansion) -> PCFExpansion:
 
 def expansion_to_json(expansion: PCFExpansion) -> dict:
     """JSON-ready dict; exact tail as canonical text."""
-    if isinstance(expansion.tail, Interval):
-        raise TypeError("interval tails have no canonical text form")
     return {
         "schema": 1,
         "quotients": [[q.a, q.b] for q in expansion.quotients],

@@ -11,13 +11,11 @@ import pytest
 
 from propcf import cli
 from propcf.candidates import InvariantViolation
-from propcf.exactreal import PrecisionExhausted
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for name in ("PROPCF_PRECISION_BITS", "PROPCF_SEED", "PROPCF_FORMAT",
-                 "PROPCF_OUT"):
+    for name in ("PROPCF_SEED", "PROPCF_FORMAT", "PROPCF_OUT"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -228,20 +226,15 @@ def test_parse_failures_exit_code(capsys):
     assert code == cli.EXIT_PARSE
     code, _ = run_main(capsys, "expand", "7/6", "--numerators", "all:1")
     assert code == cli.EXIT_PARSE
+    # text that scans but has no exact value is bad input too
+    for spec in ("1/0", "sqrt2+sqrt3-3"):
+        code, _ = run_main(capsys, "expand", spec, "--numerators", "all:1")
+        assert code == cli.EXIT_PARSE
 
 
 def test_unknown_subcommand_exit_code():
     proc = run_proc("bogus")
     assert proc.returncode == cli.EXIT_PARSE
-
-
-def test_precision_exhaustion_exit_code(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise PrecisionExhausted("needed 999 bits, budget is 64")
-    monkeypatch.setattr(cli, "growth_exponent", explode)
-    code, _ = run_main(capsys, "growth", "--y", "golden", "--x", "1/3",
-                       "--n", "10")
-    assert code == cli.EXIT_PRECISION
 
 
 def test_invariant_violation_exit_code(capsys, monkeypatch):
@@ -266,14 +259,28 @@ def test_env_overrides_with_flag_precedence():
 
 
 def test_config_validation(capsys):
-    code, _ = run_main(capsys, "growth", "--n", "10", "--x", "1/3",
-                       "--precision-bits", "32")
-    assert code == cli.EXIT_PARSE
     code, _ = run_main(capsys, "growth", "--n", "0", "--x", "1/3")
     assert code == cli.EXIT_PARSE
     code, _ = run_main(capsys, "growth", "--n", "10", "--x", "1/3",
                        "--seed", "-1")
     assert code == cli.EXIT_PARSE
+    for argv in (("simulate", "--orbits", "-2"),
+                 ("simulate", "--orbits", "0"),
+                 ("expand", "1/3", "--numerators", "all:1", "--len", "-1"),
+                 ("expand", "1/3", "--numerators", "all:1", "--len", "0"),
+                 ("rational", "5/7", "--len", "0"),
+                 ("rational", "5/7", "--limit", "-1")):
+        code, out = run_main(capsys, *argv)
+        assert code == cli.EXIT_PARSE and out == ""
+    doc = run_json(capsys, "rational", "5/7", "--limit", "0")
+    assert doc["count"] == 15 and doc["rows"] == []
+
+
+def test_unknown_flag_exit_code():
+    proc = run_proc("growth", "--n", "10", "--x", "1/3",
+                    "--precision-bits", "64")
+    assert proc.returncode == cli.EXIT_PARSE
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_out_files(tmp_path, capsys):

@@ -7,20 +7,19 @@ from math import isqrt
 
 import pytest
 
+import mpmath
+
 from propcf.exactreal import (
     GOLDEN,
     IncompatibleSurds,
-    Interval,
     ParseError,
-    PrecisionExhausted,
     Rational,
     Surd,
-    exact_to_interval,
+    _MAX_RADICAND,
+    _squarefree_decompose,
     floor_exact,
     frac_part,
-    get_default_precision,
     parse_exact,
-    set_default_precision,
     sqrt_exact,
     to_text,
 )
@@ -97,7 +96,7 @@ def test_cross_field_arithmetic_raises():
         sqrt_exact(2) + sqrt_exact(3)
     with pytest.raises(IncompatibleSurds):
         sqrt_exact(2) * sqrt_exact(5)
-    # but ordering still works, through interval refinement
+    # but ordering still works, decided exactly in integers
     assert sqrt_exact(2) - 1 < GOLDEN < sqrt_exact(3) - 1
 
 
@@ -151,66 +150,106 @@ def test_comparison_total_order_matches_floats():
         [round(_approx(v), 9) for v in float_sorted]
 
 
+def _mp_value(v):
+    """v computed by mpmath alone, at its working precision."""
+    if isinstance(v, Rational):
+        return mpmath.mpf(v.num) / v.den
+    return (v.p + v.q * mpmath.sqrt(v.d)) / v.r
+
+
+def _random_mixed_value(rng):
+    if rng.random() < 0.2:
+        return Rational(rng.randint(-60, 60), rng.randint(1, 12))
+    d = rng.choice([2, 3, 5, 7])
+    q = rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 12))
+    return Surd(rng.randint(-10**12, 10**12), q, d, rng.randint(1, 10**6))
+
+
+def test_cross_field_sort_matches_mpmath():
+    rng = random.Random(20261018)
+    vals = [_random_mixed_value(rng) for _ in range(240)]
+    # near ties: 1/3 + sqrt(d) - floor(m*sqrt(d))/m with m near 10^20 lies
+    # within 1e-20 of 1/3 in each field, far below what a double separates
+    for d in (2, 3, 5, 7):
+        for den in (10**20, 10**20 + 1):
+            num = isqrt(d * den * den)
+            vals.append(Surd(0, 1, d, 1) - Rational(num, den) + Rational(1, 3))
+    vals = list(dict.fromkeys(vals))  # distinct values, first seen first
+    assert len(vals) >= 200
+    exact_sorted = sorted(vals)
+    with mpmath.workdps(200):
+        reference = sorted(vals, key=_mp_value)
+        assert exact_sorted == reference
+        values = [_mp_value(v) for v in exact_sorted]
+        assert all(a < b for a, b in zip(values, values[1:]))
+    # every comparison is decided: no pair of distinct values ties
+    for a, b in zip(exact_sorted, exact_sorted[1:]):
+        assert b > a and not b < a and not a >= b
+
+
 # ---------------------------------------------------------------------------
-# intervals
+# square-free decomposition
 
 
-def test_interval_width_contract():
-    iv = exact_to_interval(GOLDEN)
-    for bits in (16, 50, 200, 1000):
-        c = iv.refined(bits)
-        assert c.width() <= Fraction(1, 2**bits)
-        assert c.encloses(GOLDEN)
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for f in range(2, isqrt(n - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytearray(len(range(f * f, n, f)))
+    return [f for f in range(n) if sieve[f]]
 
 
-def test_interval_refinement_is_pure():
-    iv = Interval(lambda b: (Fraction(1, 3) - Fraction(1, 2**b), Fraction(1, 3)),
-                  budget=512, bits=16)
-    before = (iv.bits, iv.lo, iv.hi)
-    iv.refined(128)
-    assert (iv.bits, iv.lo, iv.hi) == before
+_PRIMES = _primes_below(10**6)  # every prime factor of n < 10^12 but one
 
 
-def test_composed_interval_encloses_exact_value():
-    rng = random.Random(99)
-    for _ in range(25):
-        a = Surd(rng.randint(-5, 5), rng.randint(1, 4), 5, rng.randint(1, 5))
-        b = Surd(rng.randint(-5, 5), rng.randint(1, 4), 5, rng.randint(1, 5))
-        exact = (a * b + a) - b
-        composed = (exact_to_interval(a) * exact_to_interval(b)
-                    + exact_to_interval(a)) - exact_to_interval(b)
-        c = composed.refined(200)
-        assert c.width() <= Fraction(1, 2**200)
-        assert c.encloses(exact)
+def _brute_squarefree(n):
+    """Trial division by every prime below 10^6, exponent by exponent."""
+    root = core = 1
+    for f in _PRIMES:
+        if f * f > n:
+            break
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        root *= f ** (e // 2)
+        core *= f ** (e % 2)
+    return root, core * n
 
 
-def test_interval_budget_exhaustion():
-    iv = Interval(lambda b: (Fraction(1) - Fraction(1, 2**b),
-                             Fraction(1) + Fraction(1, 2**b)), budget=256)
-    with pytest.raises(PrecisionExhausted):
-        floor_exact(iv)   # endpoints straddle the integer at every precision
-    with pytest.raises(PrecisionExhausted):
-        iv.refined(2048)
+def test_squarefree_decompose_matches_brute_force():
+    rng = random.Random(12)
+    cases = [rng.randrange(1, 10**12) for _ in range(60)]
+    big = [f for f in _PRIMES if f > 10**4]
+    for _ in range(30):
+        # after trial division up to n^(1/3) the cofactor is p^2 here ...
+        p = rng.choice(big[:8000])
+        cases.append(rng.randint(1, 10**12 // (p * p)) * p * p)
+        # ... and a product of two distinct primes here
+        p, q = rng.sample(big[:20000], 2)
+        cases.append(rng.randint(1, 10**12 // (p * q)) * p * q)
+        cases.append(p * q)
+        cases.append(rng.choice(big) ** 2)
+    # three prime factors near n^(1/3), and cubes right at the boundary
+    near = [f for f in _PRIMES if 9000 < f < 10**4]
+    for _ in range(30):
+        p, q, r = rng.sample(near, 3)
+        cases += [p * q * r, p * p * q, p ** 3]
+    cases += list(range(1, 3000))
+    for n in cases:
+        assert 0 < n < 10**12
+        root, core = _squarefree_decompose(n)
+        assert (root, core) == _brute_squarefree(n)
+        assert root * root * core == n
 
 
-def test_interval_division_guards_zero():
-    zero = exact_to_interval(Rational(0))
-    with pytest.raises(ZeroDivisionError):
-        Rational(1) / zero
-    near = exact_to_interval(Rational(1, 10**30))
-    assert floor_exact(1 / near) == 10**30
-
-
-def test_default_precision_round_trip():
-    old = get_default_precision()
-    try:
-        set_default_precision(128)
-        iv = Interval(lambda b: (Fraction(0), Fraction(1, 2**b)))
-        assert iv.budget == 128
-        with pytest.raises(ValueError):
-            set_default_precision(16)
-    finally:
-        set_default_precision(old)
+def test_radicand_ceiling():
+    assert _squarefree_decompose(_MAX_RADICAND) == (10**9, 1)
+    with pytest.raises(ValueError):
+        sqrt_exact(_MAX_RADICAND + 1)
+    with pytest.raises(ValueError):
+        parse_exact("sqrt(1000000000000000001)")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +290,10 @@ def test_parse_errors_carry_position():
         parse_exact("")
     with pytest.raises(ParseError):
         parse_exact("1 @ 2")
+    # scans, but has no exact value
+    for text in ("1/0", "sqrt2+sqrt3-3", "2*sqrt5/(sqrt5-sqrt5)"):
+        with pytest.raises(ParseError):
+            parse_exact(text)
 
 
 def test_equality_and_hashing():

@@ -195,6 +195,35 @@ def test_orbit_greedy_y_has_constant_numerator():
     assert [q.b for q in scalar.quotients] == [b for _, b in rec.digits]
 
 
+def _step_chain(x, y, n):
+    """Digits and stop reason from repeated joint_step calls."""
+    state, digits = JointState(x, y), []
+    for _ in range(n):
+        try:
+            state, addr = joint_step(state)
+        except ZeroCoordinate as exc:
+            return digits, f"{exc.coordinate}_zero"
+        digits.append((addr.a, addr.b))
+    return digits, None
+
+
+def test_orbit_matches_joint_step_chain():
+    rng = random.Random(31)
+    seeds = [(Rational(1, 2), Rational(1, 2)), (GOLDEN, Rational(2, 7)),
+             (Rational(3, 5), GOLDEN)]
+    for _ in range(40):
+        pick = [_random_unit_rational_small, _random_surd_in_unit]
+        seeds.append((rng.choice(pick)(rng), rng.choice(pick)(rng)))
+    reasons = set()
+    for x, y in seeds:
+        rec = orbit(x, y, 30)
+        digits, reason = _step_chain(x, y, 30)
+        assert list(rec.digits) == digits
+        assert rec.terminated_by == reason
+        reasons.add(reason)
+    assert reasons == {None, "x_zero", "y_zero", "both_zero"}
+
+
 def test_orbit_zero_steps():
     rec = orbit(GOLDEN, GOLDEN, 0)
     assert rec.digits == () and rec.steps == 0

@@ -1,0 +1,45 @@
+"""Every module the package imports is either in the standard library,
+part of propcf, or a runtime dependency declared in pyproject.toml."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "propcf"
+
+
+def _declared() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = set()
+    for requirement in project.get("dependencies", []):
+        name = re.match(r"[A-Za-z0-9._-]+", requirement).group()
+        names.add(name.lower().replace("-", "_"))
+    return names
+
+
+def _imported_roots(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_imports_are_stdlib_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"propcf"} | _declared()
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    stray = [f"{path.name}:{line} imports {name}"
+             for path in modules
+             for line, name in _imported_roots(path)
+             if name.lower() not in allowed]
+    assert stray == []
+

@@ -10,7 +10,6 @@ from propcf.exactreal import (
     GOLDEN,
     Rational,
     Surd,
-    exact_to_interval,
     frac_part,
     sqrt_exact,
 )
@@ -90,12 +89,6 @@ def test_expand_stops_on_termination_and_caps():
     assert len(e2) == 4 and e2.tail == GOLDEN
     e3 = expand(GOLDEN, [1, 1])
     assert e3.tail == GOLDEN                 # stream exhausted, remainder kept
-
-
-def test_expand_interval_input_matches_exact():
-    iv = exact_to_interval(GOLDEN)
-    e = expand(iv, [1] * 10, max_len=10)
-    assert e.pairs() == [(1, 1)] * 10
 
 
 def test_digit_properness_enforced():
