@@ -273,8 +273,7 @@ def cmd_expand(args, config: RunConfig):
 def _classify_by_p(x, x_text: str, low: int, high: int, config: RunConfig,
                    oracle: bool):
     rows = sweep_rows(x, x_text, high, bound=config.search_bound,
-                      oracle=oracle) if high >= low else []
-    rows = [row for row in rows if row["p"] >= low]
+                      oracle=oracle, p_min=low)
     header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
     return rows, header
 
@@ -561,7 +560,8 @@ def _config_from(args) -> tuple[RunConfig, str | None]:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name} must be at least {least}")
-    orbit_length = getattr(args, "n", None)
+    # --n is the orbit length only here; yofx reads it as greedy's numerator
+    orbit_length = args.n if args.command in ("simulate", "growth") else None
     config = RunConfig(
         seed=_env_or("seed", args.seed, 0, int),
         output_format=_env_or("output_format", args.format, "json", str),

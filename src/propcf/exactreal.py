@@ -10,6 +10,11 @@ Floors, fractional parts, signs and comparisons are exact, and all of
 them are decided in integer arithmetic; comparisons also work across
 quadratic fields, where sums and products raise ``IncompatibleSurds``.
 Floats never mix in: convert out with ``float(v)`` at the edge.
+
+Rational sums, products and reciprocals use the gcd-minimising formulas
+of Knuth (TAOCP vol. 2, section 4.5.1), as ``fractions.Fraction`` does:
+they take gcds of the small cofactors only, never of the full-size
+result, which is what keeps long exact orbits fast.
 """
 from __future__ import annotations
 
@@ -152,7 +157,12 @@ class Rational(ExactReal):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num, den=1, *, _normalize=True):
+        if not _normalize:
+            # the caller guarantees integers in lowest terms with den > 0
+            self.num = num
+            self.den = den
+            return
         if isinstance(num, Rational):
             num, den = num.num, num.den * den
         elif isinstance(num, Fraction):
@@ -275,7 +285,7 @@ def _coerce(v):
     if isinstance(v, ExactReal):
         return v
     if isinstance(v, int):
-        return Rational(v)
+        return Rational(v, 1, _normalize=False)
     if isinstance(v, Fraction):
         return Rational(v.numerator, v.denominator)
     return None
@@ -313,21 +323,40 @@ def _as_same_field(u, v):
 
 def _add(u, v):
     if isinstance(u, Rational) and isinstance(v, Rational):
-        return Rational(u.num * v.den + v.num * u.den, u.den * v.den)
+        na, da, nb, db = u.num, u.den, v.num, v.den
+        g = gcd(da, db)
+        if g == 1:
+            return Rational(na * db + nb * da, da * db, _normalize=False)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)  # the only factor t can share with s * db
+        if g2 == 1:
+            return Rational(t, s * db, _normalize=False)
+        return Rational(t // g2, s * (db // g2), _normalize=False)
     a, b = _as_same_field(u, v)
     return Surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.d, a.r * b.r)
 
 
 def _mul(u, v):
     if isinstance(u, Rational) and isinstance(v, Rational):
-        return Rational(u.num * v.num, u.den * v.den)
+        na, da, nb, db = u.num, u.den, v.num, v.den
+        # both inputs are reduced, so cross-cancelling leaves a reduced product
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return Rational(na * nb, da * db, _normalize=False)
     a, b = _as_same_field(u, v)
     return Surd(a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.d, a.r * b.r)
 
 
 def _neg(u):
     if isinstance(u, Rational):
-        return Rational(-u.num, u.den)
+        return Rational(-u.num, u.den, _normalize=False)
     return Surd(-u.p, -u.q, u.d, u.r)
 
 
@@ -335,7 +364,9 @@ def _recip(u):
     if isinstance(u, Rational):
         if u.num == 0:
             raise ZeroDivisionError("division by exact zero")
-        return Rational(u.den, u.num)
+        if u.num < 0:
+            return Rational(-u.den, -u.num, _normalize=False)
+        return Rational(u.den, u.num, _normalize=False)
     # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d)
     norm = u.p * u.p - u.q * u.q * u.d
     return Surd(u.r * u.p, -u.r * u.q, u.d, norm)

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactreal import (
     ExactReal,
     Rational,
@@ -264,6 +262,8 @@ def growth_exponent(x0, y0, n: int, record: OrbitRecord | None = None) -> Growth
     oscillation = max(abs(math.exp(v) - estimate) for _, v in quarter)
     half = samples[len(samples) // 2:]
     if len(half) >= 2:
+        import numpy as np  # lazily: it is most of the CLI's import time
+
         ks = np.array([k for k, _ in half], dtype=float)
         vs = np.array([v for _, v in half], dtype=float)
         trend_slope = float(np.polyfit(ks, vs, 1)[0])
@@ -518,6 +518,8 @@ def cylinder_area_monte_carlo(samples: int, seed: int,
         raise ValueError("need samples >= 1")
     if pairs is None:
         pairs = leading_cylinders(9)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     xs = rng.random(samples)
     ys = rng.random(samples)

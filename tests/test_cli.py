@@ -138,6 +138,15 @@ def test_classify_oracle_flag(capsys):
     assert doc["oracle_checked"] is True
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+def test_classify_p_window_is_slice_of_full_sweep(capsys, oracle):
+    full = run_json(capsys, "classify", "sqrt2-1", "--p", "1..12", *oracle)
+    window = run_json(capsys, "classify", "sqrt2-1", "--p", "5..9", *oracle)
+    assert window["range"] == [5, 9]
+    assert window["rows"] == [row for row in full["rows"]
+                              if 5 <= int(row["p"]) <= 9]
+
+
 # ---------------------------------------------------------------------------
 # rational
 
@@ -204,6 +213,17 @@ def test_yofx_greedy_needs_numerator(capsys):
                    "--depth", "4", "--n", "3")
     assert all(row["y_num"] == "33" and row["y_den"] == "109"
                for row in doc["rows"])
+
+
+def test_yofx_n_is_not_an_orbit_length(capsys):
+    # greedy rejects --n 0 with its own message, varnum ignores --n
+    code = cli.main(["yofx", "--family", "greedy", "--grid", "5",
+                     "--depth", "4", "--n", "0"])
+    assert code == cli.EXIT_PARSE
+    assert "greedy family needs the numerator n >= 1" in capsys.readouterr().err
+    doc = run_json(capsys, "yofx", "--family", "varnum", "--grid", "5",
+                   "--depth", "4", "--n", "0")
+    assert doc["n"] == 0 and doc["live_rows"] == 5
 
 
 # ---------------------------------------------------------------------------

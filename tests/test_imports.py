@@ -1,8 +1,11 @@
 """Every module the package imports is either in the standard library,
-part of propcf, or a runtime dependency declared in pyproject.toml."""
+part of propcf, or a runtime dependency declared in pyproject.toml, and
+the CLI starts without importing numpy."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +46,13 @@ def test_imports_are_stdlib_or_declared():
              if name.lower() not in allowed]
     assert stray == []
 
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is most of the cold start; only growth fits and Monte Carlo load it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, propcf.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
