@@ -385,14 +385,10 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
 
 
 def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
-               oracle: bool = False, p_min: int = 1) -> list[dict]:
-    """Candidate classification rows for p = p_min..p_max, two per p.
-
-    Each row depends on (x, p) alone, so a window equals the same slice
-    of the sweep from p = 1.
-    """
+               oracle: bool = False) -> list[dict]:
+    """Candidate classification rows for p = 1..p_max, two per p."""
     rows = []
-    for p in range(p_min, p_max + 1):
+    for p in range(1, p_max + 1):
         q_odd, q_even = candidate_q_for_p(x, p)
         odd_witness = realize_odd(x, p)
         rows.append({

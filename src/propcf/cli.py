@@ -273,7 +273,8 @@ def cmd_expand(args, config: RunConfig):
 def _classify_by_p(x, x_text: str, low: int, high: int, config: RunConfig,
                    oracle: bool):
     rows = sweep_rows(x, x_text, high, bound=config.search_bound,
-                      oracle=oracle, p_min=low)
+                      oracle=oracle) if high >= low else []
+    rows = [row for row in rows if row["p"] >= low]
     header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
     return rows, header
 
@@ -421,7 +422,7 @@ def cmd_growth(args, config: RunConfig):
 
 
 def cmd_yofx(args, config: RunConfig):
-    rows = emit_y_scatter(args.family, args.grid, args.depth, n=args.n)
+    rows = emit_y_scatter(args.family, args.grid, args.depth, n=args.numerator)
     live = [row for row in rows if not row["skip"]]
     min_y = None
     for row in live:
@@ -438,8 +439,8 @@ def cmd_yofx(args, config: RunConfig):
         "min_y": to_text(min_y) if min_y is not None else "",
         "rows": rows,
     }
-    if args.n is not None:
-        doc["n"] = args.n
+    if args.numerator is not None:
+        doc["n"] = args.numerator
     header = ["x_num", "x_den", "family", "depth", "digits_used",
               "y_num", "y_den", "skip", "residual"]
     return doc, [("scatter", header, rows)]
@@ -540,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of grid points i/(grid+1)")
     p.add_argument("--depth", type=int, required=True,
                    help="digits of y to keep")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", dest="numerator", type=int, default=None,
                    help="numerator for the greedy family")
     p.set_defaults(func=cmd_yofx)
 
@@ -560,8 +561,7 @@ def _config_from(args) -> tuple[RunConfig, str | None]:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name} must be at least {least}")
-    # --n is the orbit length only here; yofx reads it as greedy's numerator
-    orbit_length = args.n if args.command in ("simulate", "growth") else None
+    orbit_length = getattr(args, "n", None)
     config = RunConfig(
         seed=_env_or("seed", args.seed, 0, int),
         output_format=_env_or("output_format", args.format, "json", str),

@@ -330,8 +330,6 @@ def _add(u, v):
         s = da // g
         t = na * (db // g) + nb * s
         g2 = gcd(t, g)  # the only factor t can share with s * db
-        if g2 == 1:
-            return Rational(t, s * db, _normalize=False)
         return Rational(t // g2, s * (db // g2), _normalize=False)
     a, b = _as_same_field(u, v)
     return Surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.d, a.r * b.r)

@@ -138,15 +138,6 @@ def test_classify_oracle_flag(capsys):
     assert doc["oracle_checked"] is True
 
 
-@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
-def test_classify_p_window_is_slice_of_full_sweep(capsys, oracle):
-    full = run_json(capsys, "classify", "sqrt2-1", "--p", "1..12", *oracle)
-    window = run_json(capsys, "classify", "sqrt2-1", "--p", "5..9", *oracle)
-    assert window["range"] == [5, 9]
-    assert window["rows"] == [row for row in full["rows"]
-                              if 5 <= int(row["p"]) <= 9]
-
-
 # ---------------------------------------------------------------------------
 # rational
 
