@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .exactreal import (
     ExactReal,
@@ -99,10 +100,15 @@ def gauss_map(x, numerator: int = 1) -> ExactReal:
     """frac(numerator/x): the fixed-numerator expansion step on (0, 1]."""
     if not isinstance(numerator, int) or numerator < 1:
         raise ValueError("numerator must be a positive integer")
-    x = _exact(x)
+    return frac_part(numerator * _unit_reciprocal(_exact(x)))
+
+
+def _unit_reciprocal(x: ExactReal) -> ExactReal:
+    """1/x for an exact x in (0, 1], the domain of every expansion step;
+    callers that divide many numerators by one x take it once."""
     if not (Rational(0) < x) or x > Rational(1):
-        raise ValueError("gauss_map needs 0 < x <= 1")
-    return frac_part(Rational(numerator) / x)
+        raise ValueError("expansion steps need 0 < x <= 1")
+    return 1 / x
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +313,13 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
-    q = floor_exact(Rational(p) / x) + 1
-    tail_p = gauss_map(x, p)
+    inv = _unit_reciprocal(x)
+    q = floor_exact(p * inv) + 1
+    tail_p = frac_part(p * inv)
     for a in _divisors(p):
-        if tail_p + gauss_map(x, a) > Rational(1):
-            b1 = floor_exact(Rational(a) / x)
+        scaled = a * inv
+        if tail_p + frac_part(scaled) > Rational(1):
+            b1 = floor_exact(scaled)
             b2 = p // a
             a2 = q - b1 * b2
             if a2 < 1 or a2 > b2:
@@ -337,21 +345,24 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
-    q = floor_exact(Rational(p) / x) + 1
+    inv = _unit_reciprocal(x)
+    q = floor_exact(p * inv) + 1
     truncated = False
     for a1 in _divisors(p):
-        b1 = floor_exact(Rational(a1) / x)
+        scaled = a1 * inv
+        b1 = floor_exact(scaled)
         b2 = p // a1
         if b2 < 1:
             continue
-        x1 = gauss_map(x, a1)
+        x1 = frac_part(scaled)
         if is_zero(x1):
             continue  # terminated: no second digit exists on this branch
+        inv1 = 1 / x1
         hi = b2 if bound is None else min(b2, bound)
         if hi < b2:
             truncated = True
         for a2 in range(1, hi + 1):
-            if floor_exact(Rational(a2) / x1) != b2:
+            if floor_exact(a2 * inv1) != b2:
                 continue
             if b1 * b2 + a2 != q:
                 continue
@@ -376,12 +387,18 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     f = frac_part(q * x)
     if is_zero(f) or not (f < x) or floor_exact(q * x) < 1:
         return CutoffVerdict.NOT_EVEN_CANDIDATE
-    half = x / 2
-    stretched = x * gauss_map(x, 1)
-    threshold = half if half > stretched else stretched
-    if f < threshold:
+    if f < _cutoff_threshold(x):
         return CutoffVerdict.GUARANTEED_REALIZABLE
     return CutoffVerdict.UNDETERMINED
+
+
+@lru_cache(maxsize=64)
+def _cutoff_threshold(x: ExactReal) -> ExactReal:
+    """max(x/2, x*frac(1/x)); a sweep asks for it once per row, so the
+    value is kept for the few x a run uses."""
+    half = x / 2
+    stretched = x * gauss_map(x, 1)
+    return half if half > stretched else stretched
 
 
 def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,

@@ -72,7 +72,10 @@ _DEFAULT_LEN = 12
 _SCHEMA = 1
 
 # count flags of the subcommands, with the least value each accepts
-_COUNT_FLAGS = (("orbits", 1), ("len", 1), ("limit", 0))
+# (flag, argparse destination, least value); yofx stores its --n apart
+# from the orbit length of simulate and growth
+_COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
+                ("--limit", "limit", 0), ("--n", "numerator", 1))
 
 
 class UsageError(ValueError):
@@ -557,10 +560,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> tuple[RunConfig, str | None]:
-    for name, least in _COUNT_FLAGS:
-        value = getattr(args, name, None)
+    for flag, dest, least in _COUNT_FLAGS:
+        value = getattr(args, dest, None)
         if value is not None and value < least:
-            raise UsageError(f"--{name} must be at least {least}")
+            raise UsageError(f"{flag} must be at least {least}")
     orbit_length = getattr(args, "n", None)
     config = RunConfig(
         seed=_env_or("seed", args.seed, 0, int),

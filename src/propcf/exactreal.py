@@ -14,7 +14,10 @@ Floats never mix in: convert out with ``float(v)`` at the edge.
 Rational sums, products and reciprocals use the gcd-minimising formulas
 of Knuth (TAOCP vol. 2, section 4.5.1), as ``fractions.Fraction`` does:
 they take gcds of the small cofactors only, never of the full-size
-result, which is what keeps long exact orbits fast.
+result, which is what keeps long exact orbits fast.  Arithmetic with a
+surd builds its result in that surd's field through
+``Surd(..., _squarefree=True)``, which skips the radicand decomposition
+but still reduces, fixes the sign and demotes q == 0 to ``Rational``.
 """
 from __future__ import annotations
 
@@ -206,31 +209,39 @@ class Surd(ExactReal):
 
     The constructor normalizes, and returns a plain ``Rational`` when the
     irrational part cancels (q == 0, or d a perfect square), so the
-    canonical form is unique across the two types.
+    canonical form is unique across the two types.  ``_squarefree=True``
+    is for results inside an existing field: the caller guarantees a
+    square-free d > 1 and r != 0, and only the decomposition of d is
+    skipped.
     """
 
     __slots__ = ("p", "q", "d", "r")
 
-    def __new__(cls, p: int, q: int, d: int, r: int = 1):
-        if r == 0:
-            raise ZeroDivisionError("surd with zero denominator")
-        if d < 0:
-            raise ValueError("negative radicand")
-        if q == 0 or d == 0:
-            return Rational(p, r)
-        root, core = _squarefree_decompose(d)
-        q, d = q * root, core
-        if d == 1:
-            return Rational(p + q, r)
+    def __new__(cls, p: int, q: int, d: int, r: int = 1, *,
+                _squarefree=False):
+        if _squarefree:
+            if q == 0:
+                return Rational(p, r)
+        else:
+            if r == 0:
+                raise ZeroDivisionError("surd with zero denominator")
+            if d < 0:
+                raise ValueError("negative radicand")
+            if q == 0 or d == 0:
+                return Rational(p, r)
+            root, core = _squarefree_decompose(d)
+            q, d = q * root, core
+            if d == 1:
+                return Rational(p + q, r)
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
+        g = gcd(p, q, r)
         self = object.__new__(cls)
         self.p, self.q, self.d, self.r = p // g, q // g, d, r // g
         return self
 
     def conjugate(self) -> ExactReal:
-        return Surd(self.p, -self.q, self.d, self.r)
+        return Surd(self.p, -self.q, self.d, self.r, _squarefree=True)
 
     def __repr__(self):
         return f"Surd({self.p}, {self.q}, {self.d}, {self.r})"
@@ -303,59 +314,63 @@ def _exact(v) -> ExactReal:
 # ---------------------------------------------------------------------------
 # central dispatch
 
-class _Embedded:
-    # a rational viewed as (p + 0*sqrt(d))/r, bypassing canonical demotion
-    __slots__ = ("p", "q", "d", "r")
-
-    def __init__(self, rat: Rational, d: int):
-        self.p, self.q, self.d, self.r = rat.num, 0, d, rat.den
-
-
-def _as_same_field(u, v):
-    if isinstance(u, Rational):
-        return _Embedded(u, v.d), v
-    if isinstance(v, Rational):
-        return u, _Embedded(v, u.d)
+def _shared_radicand(u, v) -> int:
     if u.d != v.d:
         raise IncompatibleSurds(f"sqrt({u.d}) and sqrt({v.d}) do not mix exactly")
-    return u, v
+    return u.d
 
+
+# Sums, products and reciprocals that involve a surd build their result in
+# the surd's own field, so the radicand is already square-free and
+# ``Surd(..., _squarefree=True)`` skips decomposing it again.
 
 def _add(u, v):
-    if isinstance(u, Rational) and isinstance(v, Rational):
-        na, da, nb, db = u.num, u.den, v.num, v.den
-        g = gcd(da, db)
-        if g == 1:
-            return Rational(na * db + nb * da, da * db, _normalize=False)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = gcd(t, g)  # the only factor t can share with s * db
-        return Rational(t // g2, s * (db // g2), _normalize=False)
-    a, b = _as_same_field(u, v)
-    return Surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.d, a.r * b.r)
+    if isinstance(u, Rational):
+        if isinstance(v, Rational):
+            na, da, nb, db = u.num, u.den, v.num, v.den
+            g = gcd(da, db)
+            if g == 1:
+                return Rational(na * db + nb * da, da * db, _normalize=False)
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = gcd(t, g)  # the only factor t can share with s * db
+            return Rational(t // g2, s * (db // g2), _normalize=False)
+        u, v = v, u  # sums commute: the surd goes first
+    if isinstance(v, Rational):
+        return Surd(u.p * v.den + v.num * u.r, u.q * v.den, u.d, u.r * v.den,
+                    _squarefree=True)
+    return Surd(u.p * v.r + v.p * u.r, u.q * v.r + v.q * u.r,
+                _shared_radicand(u, v), u.r * v.r, _squarefree=True)
 
 
 def _mul(u, v):
-    if isinstance(u, Rational) and isinstance(v, Rational):
-        na, da, nb, db = u.num, u.den, v.num, v.den
-        # both inputs are reduced, so cross-cancelling leaves a reduced product
-        g1 = gcd(na, db)
-        if g1 > 1:
-            na //= g1
-            db //= g1
-        g2 = gcd(nb, da)
-        if g2 > 1:
-            nb //= g2
-            da //= g2
-        return Rational(na * nb, da * db, _normalize=False)
-    a, b = _as_same_field(u, v)
-    return Surd(a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.d, a.r * b.r)
+    if isinstance(u, Rational):
+        if isinstance(v, Rational):
+            na, da, nb, db = u.num, u.den, v.num, v.den
+            # both inputs are reduced, so cross-cancelling leaves a reduced
+            # product
+            g1 = gcd(na, db)
+            if g1 > 1:
+                na //= g1
+                db //= g1
+            g2 = gcd(nb, da)
+            if g2 > 1:
+                nb //= g2
+                da //= g2
+            return Rational(na * nb, da * db, _normalize=False)
+        u, v = v, u  # products commute: the surd goes first
+    if isinstance(v, Rational):
+        return Surd(u.p * v.num, u.q * v.num, u.d, u.r * v.den,
+                    _squarefree=True)
+    d = _shared_radicand(u, v)
+    return Surd(u.p * v.p + u.q * v.q * d, u.p * v.q + u.q * v.p, d,
+                u.r * v.r, _squarefree=True)
 
 
 def _neg(u):
     if isinstance(u, Rational):
         return Rational(-u.num, u.den, _normalize=False)
-    return Surd(-u.p, -u.q, u.d, u.r)
+    return Surd(-u.p, -u.q, u.d, u.r, _squarefree=True)
 
 
 def _recip(u):
@@ -365,9 +380,10 @@ def _recip(u):
         if u.num < 0:
             return Rational(-u.den, -u.num, _normalize=False)
         return Rational(u.den, u.num, _normalize=False)
-    # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d)
+    # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d); the norm is not
+    # 0, because sqrt(d) is irrational
     norm = u.p * u.p - u.q * u.q * u.d
-    return Surd(u.r * u.p, -u.r * u.q, u.d, norm)
+    return Surd(u.r * u.p, -u.r * u.q, u.d, norm, _squarefree=True)
 
 
 def _root_sign(p: int, q: int, d: int) -> int:
@@ -387,26 +403,34 @@ def _sign(u) -> int:
 
 
 def _diff_sign(u, v) -> int:
-    """Sign of u - v, decided in integers.
+    """Sign of u - v, decided in integers, building no intermediate value.
 
-    Values that share a field subtract.  For surds u in Q(sqrt d1) and v in
-    Q(sqrt d2) with d1 != d2, write r1*r2*(u - v) = X - C*sqrt(d2) with
-    X = A + B*sqrt(d1).  When X and C*sqrt(d2) differ in sign, X's sign
-    is the answer; otherwise the answer is that sign times the sign of
+    Within one field, the positive multiple den_u*den_v*(u - v) is some
+    A + B*sqrt(d), whose sign ``_root_sign`` reads.  For surds u in
+    Q(sqrt d1) and v in Q(sqrt d2) with d1 != d2, write
+    r1*r2*(u - v) = X - C*sqrt(d2) with X = A + B*sqrt(d1).  When X and
+    C*sqrt(d2) differ in sign, X's sign is the answer; otherwise the answer
+    is that sign times the sign of
     X^2 - C^2 d2 = (A^2 + B^2 d1 - C^2 d2) + 2AB*sqrt(d1), one more
     same-field sign.  The result is never 0, because 1, sqrt(d1) and
     sqrt(d2) are linearly independent over the rationals.
     """
-    try:
-        return _sign(_add(u, _neg(v)))
-    except IncompatibleSurds:
-        a = u.p * v.r - v.p * u.r
-        b = u.q * v.r
-        c = v.q * u.r
-        s = _root_sign(a, b, u.d)
-        if s != (1 if c > 0 else -1):
-            return s
-        return s * _root_sign(a * a + b * b * u.d - c * c * v.d, 2 * a * b, u.d)
+    if isinstance(u, Rational):
+        if isinstance(v, Rational):
+            t = u.num * v.den - v.num * u.den
+            return (t > 0) - (t < 0)
+        return _root_sign(u.num * v.r - v.p * u.den, -v.q * u.den, v.d)
+    if isinstance(v, Rational):
+        return _root_sign(u.p * v.den - v.num * u.r, u.q * v.den, u.d)
+    a = u.p * v.r - v.p * u.r
+    b = u.q * v.r
+    c = v.q * u.r
+    if u.d == v.d:
+        return _root_sign(a, b - c, u.d)
+    s = _root_sign(a, b, u.d)
+    if s != (1 if c > 0 else -1):
+        return s
+    return s * _root_sign(a * a + b * b * u.d - c * c * v.d, 2 * a * b, u.d)
 
 
 # ---------------------------------------------------------------------------

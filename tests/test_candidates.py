@@ -243,6 +243,13 @@ def test_oracle_bound_semantics():
     assert realizable_as_q2_oracle(GOLDEN, 2) is None
 
 
+@pytest.mark.parametrize("search", [realizable_as_q2, realizable_as_q2_oracle])
+@pytest.mark.parametrize("x", [Rational(3, 2), Rational(0)])
+def test_realizability_rejects_x_outside_unit_interval(search, x):
+    with pytest.raises(ValueError):
+        search(x, 6)
+
+
 def test_cutoff_golden_frozen():
     assert q2_cutoff_check(GOLDEN, 5) is CutoffVerdict.GUARANTEED_REALIZABLE
     assert q2_cutoff_check(GOLDEN, 4) is CutoffVerdict.UNDETERMINED

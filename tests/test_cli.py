@@ -207,14 +207,22 @@ def test_yofx_greedy_needs_numerator(capsys):
 
 
 def test_yofx_n_is_not_an_orbit_length(capsys):
-    # greedy rejects --n 0 with its own message, varnum ignores --n
+    # --n is the greedy numerator: range-checked for every family, also
+    # those that ignore it, and never read as an orbit length
+    for family in ("greedy", "varnum", "engel"):
+        for n in ("0", "-5"):
+            code = cli.main(["yofx", "--family", family, "--grid", "2",
+                             "--depth", "2", "--n", n])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_PARSE and captured.out == ""
+            assert "--n must be at least 1" in captured.err
     code = cli.main(["yofx", "--family", "greedy", "--grid", "5",
-                     "--depth", "4", "--n", "0"])
+                     "--depth", "4"])
     assert code == cli.EXIT_PARSE
     assert "greedy family needs the numerator n >= 1" in capsys.readouterr().err
     doc = run_json(capsys, "yofx", "--family", "varnum", "--grid", "5",
-                   "--depth", "4", "--n", "0")
-    assert doc["n"] == 0 and doc["live_rows"] == 5
+                   "--depth", "4", "--n", "1")
+    assert doc["n"] == 1 and doc["live_rows"] == 5
 
 
 # ---------------------------------------------------------------------------
