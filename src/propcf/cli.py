@@ -71,9 +71,9 @@ _ENV = {
 _DEFAULT_LEN = 12
 _SCHEMA = 1
 
-# count flags of the subcommands, with the least value each accepts
-# (flag, argparse destination, least value); yofx stores its --n apart
-# from the orbit length of simulate and growth
+# count flags of the subcommands as (flag, argparse destination, least
+# value); yofx stores its --n apart from the orbit length of simulate and
+# growth, which RunConfig checks
 _COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
                 ("--limit", "limit", 0), ("--n", "numerator", 1))
 
