@@ -4,8 +4,8 @@ growth estimates, y(x) scatter data, and rational enumeration.
 Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
-out of range, or a value that cannot be evaluated exactly), 4 internal
-invariant violation.
+out of range, a value that cannot be evaluated exactly, or an oracle
+--bound too small to decide a row), 4 internal invariant violation.
 
 The common flags --seed, --format and --out can also be set through the
 environment (PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag
@@ -41,7 +41,9 @@ from .pcf import (
     expand,
 )
 from .candidates import (
+    BoundTooSmall,
     InvariantViolation,
+    approximation_margins,
     candidate_p_for_q,
     q2_cutoff_check,
     realizable_as_q2,
@@ -241,23 +243,27 @@ def cmd_expand(args, config: RunConfig):
     x = parse_x_spec(args.x)
     expansion = _numerator_pairs(x, args.numerators, args.len)
     cv = convergents(expansion)
+    margins = approximation_margins(x, expansion)
     sign, product = 1, 1
+    p_prev, q_prev = cv.pair(0)
+    # every cell is a string, built once for the JSON rows and the CSV table
     rows = []
-    for n, quot in enumerate(expansion.quotients, start=1):
+    for n, (quot, margin) in enumerate(zip(expansion.quotients, margins),
+                                       start=1):
+        p, q = cv.pair(n)
         sign, product = -sign, product * quot.a
-        residual = cv.p(n - 1) * cv.q(n) - cv.p(n) * cv.q(n - 1) - sign * product
+        residual = p_prev * q - p * q_prev - sign * product
         if residual != 0:
             raise InvariantViolation(
                 f"determinant identity failed at index {n}")
-        reduced = Rational(cv.p(n), cv.q(n)) if cv.q(n) else None
-        margin = x - abs(cv.q(n) * x - cv.p(n))
         rows.append({
-            "n": n, "a": quot.a, "b": quot.b,
-            "p": cv.p(n), "q": cv.q(n),
-            "reduced": to_text(reduced) if reduced is not None else "",
-            "det_residual": residual,
+            "n": str(n), "a": str(quot.a), "b": str(quot.b),
+            "p": str(p), "q": str(q),
+            "reduced": to_text(Rational(p, q)),  # q_n >= 1 for n >= 1
+            "det_residual": str(residual),
             "margin": to_text(margin),
         })
+        p_prev, q_prev = p, q
     doc = {
         "schema": _SCHEMA,
         "command": "expand",
@@ -266,8 +272,8 @@ def cmd_expand(args, config: RunConfig):
         "length": len(expansion),
         "complete": expansion.is_complete(),
         "tail": to_text(expansion.tail),
-        "pairs": [{"a": str(q.a), "b": str(q.b)} for q in expansion.quotients],
-        "convergents": [{key: _cell(row[key]) for key in row} for row in rows],
+        "pairs": [{"a": row["a"], "b": row["b"]} for row in rows],
+        "convergents": rows,
     }
     header = ["n", "a", "b", "p", "q", "reduced", "det_residual", "margin"]
     return doc, [("expansion", header, rows)]
@@ -455,13 +461,12 @@ def cmd_rational(args, config: RunConfig):
         raise UsageError("rational enumeration needs a rational value")
     expansions = enumerate_rational_expansions(value, length=args.len)
     lengths = sorted({len(e) for e in expansions})
+    # string cells, shared by the JSON rows and the CSV table
     rows = [{
-        "index": i,
-        "length": len(e),
+        "index": str(i),
+        "length": str(len(e)),
         "pairs": _pairs_text(e.quotients),
-    } for i, e in enumerate(expansions)]
-    if args.limit is not None:
-        rows = rows[:args.limit]
+    } for i, e in enumerate(expansions[:args.limit])]
     doc = {
         "schema": _SCHEMA,
         "command": "rational",
@@ -469,7 +474,7 @@ def cmd_rational(args, config: RunConfig):
         "count": len(expansions),
         "max_length": max(lengths) if lengths else 0,
         "lengths": lengths,
-        "rows": [{key: _cell(row[key]) for key in row} for row in rows],
+        "rows": rows,
     }
     header = ["index", "length", "pairs"]
     return doc, [("expansions", header, rows)]
@@ -585,6 +590,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, MiddleCaseError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BoundTooSmall as exc:
+        # a --bound that cuts the oracle's search short is bad input
+        print(f"error: {exc}; raise --bound or leave it out", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         # covers UsageError, ParseError, and library input validation
         print(f"error: {exc}", file=sys.stderr)

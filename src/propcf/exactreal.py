@@ -235,7 +235,10 @@ class Surd(ExactReal):
                 return Rational(p + q, r)
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(p, q, r)
+        # gcd folds from the left and stops at 1: r, usually the small
+        # one, goes first, so huge p and q cost a division by it, not a
+        # gcd of their own
+        g = gcd(r, p, q)
         self = object.__new__(cls)
         self.p, self.q, self.d, self.r = p // g, q // g, d, r // g
         return self

@@ -26,6 +26,10 @@ from .exactreal import (
 )
 
 
+# frozen dataclasses set their fields through object.__setattr__
+_set = object.__setattr__
+
+
 class NotCoprime(ValueError):
     """A rational argument was not in lowest terms where required."""
 
@@ -38,7 +42,7 @@ class MiddleCaseError(ValueError):
     """1-x has no digit-level rewrite when a1 < b1 < 2*a1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialQuotient:
     """One level a/b of the fraction; b >= a >= 1."""
 
@@ -51,11 +55,20 @@ class PartialQuotient:
         if self.a < 1 or self.b < self.a:
             raise ImproperDigits(f"need b >= a >= 1, got {self.a}/{self.b}")
 
+    @classmethod
+    def _trusted(cls, a: int, b: int) -> "PartialQuotient":
+        """The pair a/b, unchecked: the caller guarantees integers with
+        b >= a >= 1."""
+        self = object.__new__(cls)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        return self
+
     def __str__(self):
         return f"{self.a}/{self.b}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCFExpansion:
     """A finite prefix of digit pairs plus the exact remainder after them.
 
@@ -76,6 +89,15 @@ class PCFExpansion:
         object.__setattr__(self, "tail", t)
         if t < 0 or t >= 1:
             raise ValueError("tail must lie in [0, 1)")
+
+    @classmethod
+    def _trusted(cls, quotients: tuple, tail: ExactReal) -> "PCFExpansion":
+        """The expansion, unchecked: the caller guarantees a tuple of
+        ``PartialQuotient`` and an exact tail in [0, 1)."""
+        self = object.__new__(cls)
+        _set(self, "quotients", quotients)
+        _set(self, "tail", tail)
+        return self
 
     @classmethod
     def from_pairs(cls, pairs, tail=Rational(0)) -> "PCFExpansion":
@@ -269,15 +291,20 @@ def enumerate_rational_expansions(value, length: int | None = None) -> list[PCFE
         raise ValueError("need a value strictly between 0 and 1")
     results: list[PCFExpansion] = []
     prefix: list[PartialQuotient] = []
+    # digit = floor(numerator*s/t) >= numerator, because t < s, and every
+    # complete branch ends on a zero remainder: both objects are built
+    # unchecked, and the expansions share one zero tail
+    quotient, complete, zero = (PartialQuotient._trusted,
+                                PCFExpansion._trusted, Rational(0))
 
     def descend(t: int, s: int):
         for numerator in range(1, t + 1):
             digit = numerator * s // t
             rem = numerator * s - digit * t
-            prefix.append(PartialQuotient(numerator, digit))
+            prefix.append(quotient(numerator, digit))
             if rem == 0:
                 if length is None or len(prefix) == length:
-                    results.append(PCFExpansion(tuple(prefix), Rational(0)))
+                    results.append(complete(tuple(prefix), zero))
             elif length is None or len(prefix) < length:
                 g = gcd(rem, t)
                 descend(rem // g, t // g)

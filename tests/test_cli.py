@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: worked examples,
 output determinism, exit codes, and environment overrides."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,17 @@ def test_classify_oracle_flag(capsys):
     assert doc["oracle_checked"] is True
 
 
+def test_classify_oracle_bound_too_small_exit_code(capsys):
+    # a --bound that truncates the brute-force search leaves a row undecided
+    for bound in ("50", "3"):
+        code = cli.main(["classify", "(sqrt3-1)/2", "--p", "1..200",
+                         "--oracle", "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"bound {bound};" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # rational
 
@@ -238,6 +250,39 @@ def test_byte_identical_reruns():
     csv_args = ("yofx", "--family", "varnum", "--grid", "25",
                 "--depth", "8", "--format", "csv")
     assert run_proc(*csv_args).stdout == run_proc(*csv_args).stdout
+
+
+# sha256 of stdout as the enumeration and expand commands printed it
+# while their rows still held ints; the rows now hold strings, built once
+_PINNED_OUTPUT = (
+    pytest.param(("rational", "12/19"),
+                 "18eb4b1af16c40c7924e7ea3befa41c4cf985dc4c7705b15eb483d998e098a44",
+                 id="rational-json"),
+    pytest.param(("rational", "12/19", "--format", "csv"),
+                 "856971d8ff8522d34b64f4b2f848f393fdd1fdfc61fe9d19f0b5db8519489d11",
+                 id="rational-csv"),
+    pytest.param(("rational", "5/6", "--len", "3"),
+                 "f4b0c1cced4508d80d212a876e1fc022c3c6da1a8c0c0628132df34cc3e58c69",
+                 id="rational-len"),
+    pytest.param(("expand", "golden", "--numerators", "all:2", "--len", "200",
+                  "--format", "json"),
+                 "9b1661309ac475909bbd0a7750c85545a11ae63229ddd261acb784477ca68d8d",
+                 id="expand-golden-json"),
+    pytest.param(("expand", "sqrt2-1", "--numerators", "all:3", "--len",
+                  "200", "--format", "csv"),
+                 "f4bdc4bfa0d2bb68172424d4f13263ff4bddd553c1f9693d80145c05b072df12",
+                 id="expand-sqrt2-csv"),
+    pytest.param(("expand", "5/6", "--numerators", "4,3,2,1,1"),
+                 "29913ae4d7d1c64e1d0c88dbdd5e37709ce72f11fbc14c35175786a339fe7d31",
+                 id="expand-literal"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUT)
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parse_failures_exit_code(capsys):

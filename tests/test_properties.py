@@ -1,18 +1,32 @@
 """Property tests of the fast paths against slow references: ``Rational``
 arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
-constructor, and exact orbits against a plain-``Fraction`` step loop."""
+constructor, exact orbits against a plain-``Fraction`` step loop, the
+unchecked enumeration tree against ``expand`` and ``reconstruct``, and
+the ``expand`` command's rows against ``ConvergentSeq``."""
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from propcf import cli
 from propcf.exactreal import GOLDEN, Rational, Surd, parse_exact, to_text
 from propcf.gauss2d import orbit
+from propcf.pcf import (
+    ConvergentSeq,
+    PCFExpansion,
+    enumerate_rational_expansions,
+    expand,
+    reconstruct,
+)
 
 
 def _magnitude(max_bits: int):
@@ -176,6 +190,27 @@ def test_surd_order_and_text_match_slow_difference(d, left, right):
         assert parse_exact(to_text(value)) == value
 
 
+def _divisors_of(n: int) -> list[int]:
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RADICANDS), _signed(4000), _signed(4000),
+       st.integers(-13, 13).filter(bool).flatmap(
+           lambda r: st.tuples(st.just(r),
+                               st.sampled_from(_divisors_of(abs(r))))))
+def test_surd_canonical_form_with_huge_parts(d, p, q, rg):
+    # huge p and q over a small r, as in the margins of long expansions,
+    # sharing a common factor g of r
+    r, g = rg
+    for value in (Surd(p * g, q * g, d, r),
+                  Surd(p * g, q * g, d, r, _squarefree=True)):
+        assert isinstance(value, Surd) and value.d == d
+        assert value.r > 0 and math.gcd(value.p, value.q, value.r) == 1
+        assert value.p * r == p * g * value.r
+        assert value.q * r == q * g * value.r
+
+
 def _fraction_orbit(x: Fraction, y: Fraction | None, n: int):
     """The joint map in plain Fractions; y None stands for the golden
     number, whose classical digits are all 1 and which 1/y - 1 fixes."""
@@ -202,3 +237,69 @@ def _fraction_orbit(x: Fraction, y: Fraction | None, n: int):
 def test_orbit_digits_match_fraction_loop(x, y, n):
     record = orbit(_rational(x), GOLDEN if y is None else _rational(y), n)
     assert list(record.digits) == _fraction_orbit(x, y, n)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration tree and the expand rows
+
+
+@lru_cache(maxsize=None)
+def _expansion_count(x: Fraction) -> int:
+    """Complete expansions of x in (0, 1), counted in plain Fractions:
+    numerators 1..numerator(x) at each remainder, and a zero remainder
+    ends a branch."""
+    total = 0
+    for a in range(1, x.numerator + 1):
+        rem = a / x - math.floor(a / x)
+        total += 1 if rem == 0 else _expansion_count(rem)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40).flatmap(
+    lambda s: st.tuples(st.integers(1, min(s - 1, 12)), st.just(s))))
+def test_enumeration_round_trips_through_expand(ts):
+    # numerators above 12 would make thousands of expansions per example
+    t, s = ts
+    value = Rational(t, s)
+    full = enumerate_rational_expansions(value)
+    assert len(full) == _expansion_count(Fraction(t, s))
+    for e in full:
+        assert PCFExpansion(e.quotients, Rational(0)) == e
+        assert PCFExpansion.from_pairs(e.pairs()) == e  # each pair checked
+        assert reconstruct(e) == value
+        assert expand(value, e.numerators()) == e
+    lengths = {len(e) for e in full}
+    for k in sorted(lengths | {1, max(lengths) + 1}):
+        assert enumerate_rational_expansions(value, length=k) == [
+            e for e in full if len(e) == k]
+
+
+_FIELD_SPECS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FIELD_SPECS)
+       | _unit_fractions(64).map(lambda f: f"{f.numerator}/{f.denominator}"),
+       st.lists(st.integers(1, 60), min_size=1, max_size=80))
+def test_expand_rows_match_convergent_reference(spec, numerators):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["expand", spec, "--numerators",
+                         ",".join(map(str, numerators))])
+    assert code == 0
+    rows = json.loads(out.getvalue())["convergents"]
+    x = parse_exact(spec)
+    expansion = expand(x, numerators)
+    cv = ConvergentSeq(expansion)
+    assert len(rows) == len(expansion)
+    product = 1
+    for n, (row, a) in enumerate(zip(rows, expansion.numerators()), start=1):
+        p, q = cv.pair(n)
+        product *= a
+        # the determinant identity p_{n-1} q_n - p_n q_{n-1} = (-1)^n a_1...a_n
+        assert cv.p(n - 1) * q - p * cv.q(n - 1) == (-1) ** n * product
+        assert row == {
+            "n": str(n), "a": str(a), "b": str(expansion.digits()[n - 1]),
+            "p": str(p), "q": str(q), "reduced": to_text(Rational(p, q)),
+            "det_residual": "0", "margin": to_text(x - abs(q * x - p))}
