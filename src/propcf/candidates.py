@@ -26,6 +26,7 @@ from .exactreal import (
     is_zero,
 )
 from .pcf import (
+    ConvergentSeq,
     PCFExpansion,
     PartialQuotient,
     _pairs_text,
@@ -68,8 +69,7 @@ class RealizationWitness:
     index: int
 
     def convergent_pair(self) -> tuple[int, int]:
-        cv = convergents(PCFExpansion(self.quotients, Rational(0)))
-        return cv.pair(self.index)
+        return ConvergentSeq(self.quotients).pair(self.index)
 
     def verify(self, x, p: int, q: int) -> bool:
         """Digits reproduce from x and the pair at ``index`` is (p, q)."""
@@ -401,30 +401,58 @@ def _cutoff_threshold(x: ExactReal) -> ExactReal:
     return half if half > stretched else stretched
 
 
+def _even_witness(x, p: int, bound: int | None, oracle: bool,
+                  where: str) -> RealizationWitness | None:
+    """The divisor criterion's witness for the even candidate of p, or
+    None; with ``oracle`` the brute-force search must agree on existence."""
+    witness = realizable_as_q2(x, p)
+    if oracle and (witness is None) != (
+            realizable_as_q2_oracle(x, p, bound) is None):
+        raise InvariantViolation(
+            f"divisor criterion and brute force disagree at {where}")
+    return witness
+
+
 def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
                oracle: bool = False) -> list[dict]:
     """Candidate classification rows for p = 1..p_max, two per p."""
     rows = []
     for p in range(1, p_max + 1):
-        q_odd, q_even = candidate_q_for_p(x, p)
         odd_witness = realize_odd(x, p)
+        q_odd = odd_witness.quotients[0].b  # floor(p/x)
         rows.append({
             "x": x_text, "p": p, "q": q_odd, "parity": "odd",
             "realizable": True,
             "witness": _pairs_text(odd_witness.quotients), "cutoff": "",
         })
-        witness = realizable_as_q2(x, p)
-        if oracle:
-            other = realizable_as_q2_oracle(x, p, bound)
-            if (witness is None) != (other is None):
-                raise InvariantViolation(
-                    f"divisor criterion and brute force disagree at p={p}")
+        witness = _even_witness(x, p, bound, oracle, f"p={p}")
         rows.append({
-            "x": x_text, "p": p, "q": q_even, "parity": "even",
+            "x": x_text, "p": p, "q": q_odd + 1, "parity": "even",
             "realizable": witness is not None,
             "witness": _pairs_text(witness.quotients)
             if witness is not None else "",
-            "cutoff": q2_cutoff_check(x, q_even).value,
+            "cutoff": q2_cutoff_check(x, q_odd + 1).value,
+        })
+    return rows
+
+
+def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
+                 bound: int | None = None, oracle: bool = False) -> list[dict]:
+    """Candidate classification rows for q = q_min..q_max, one per q: both
+    candidate numerators and the even side's realizability (None when q
+    has no even candidate)."""
+    rows = []
+    for q in range(q_min, q_max + 1):
+        p_even, p_odd = candidate_p_for_q(x, q)
+        witness = None if p_even is None else _even_witness(
+            x, p_even, bound, oracle, f"q={q}")
+        rows.append({
+            "x": x_text, "q": q, "p_even": p_even, "p_odd": p_odd,
+            "even_realizable": None if p_even is None
+            else witness is not None,
+            "witness": _pairs_text(witness.quotients)
+            if witness is not None else "",
+            "cutoff": q2_cutoff_check(x, q).value,
         })
     return rows
 

@@ -4,8 +4,9 @@ growth estimates, y(x) scatter data, and rational enumeration.
 Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
-out of range, a value that cannot be evaluated exactly, or an oracle
---bound too small to decide a row), 4 internal invariant violation.
+out of range, a reversed range, a value that cannot be evaluated exactly,
+or an oracle --bound too small to decide a row), 4 internal invariant
+violation.
 
 The common flags --seed, --format and --out can also be set through the
 environment (PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag
@@ -44,10 +45,7 @@ from .candidates import (
     BoundTooSmall,
     InvariantViolation,
     approximation_margins,
-    candidate_p_for_q,
-    q2_cutoff_check,
-    realizable_as_q2,
-    realizable_as_q2_oracle,
+    sweep_q_rows,
     sweep_rows,
 )
 from .gauss2d import (
@@ -131,7 +129,8 @@ def parse_x_spec(text: str):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """"3" or "1..5" (inclusive); an inverted range is simply empty."""
+    """"3" or "1..5" (inclusive), starting at 1 or above; an inverted
+    range such as "5..1" is bad input."""
     lo, sep, hi = text.partition("..")
     try:
         low = int(lo)
@@ -140,6 +139,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad range {text!r}: use N or LO..HI") from None
     if low < 1:
         raise UsageError("range must start at 1 or above")
+    if high < low:
+        raise UsageError(f"bad range {text!r}: the end lies below the start")
     return low, high
 
 
@@ -279,45 +280,6 @@ def cmd_expand(args, config: RunConfig):
     return doc, [("expansion", header, rows)]
 
 
-def _classify_by_p(x, x_text: str, low: int, high: int, config: RunConfig,
-                   oracle: bool):
-    rows = sweep_rows(x, x_text, high, bound=config.search_bound,
-                      oracle=oracle) if high >= low else []
-    rows = [row for row in rows if row["p"] >= low]
-    header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
-    return rows, header
-
-
-def _classify_by_q(x, x_text: str, low: int, high: int, config: RunConfig,
-                   oracle: bool):
-    rows = []
-    for q in range(low, high + 1):
-        p_even, p_odd = candidate_p_for_q(x, q)
-        witness = None
-        realizable = None
-        if p_even is not None:
-            witness = realizable_as_q2(x, p_even)
-            realizable = witness is not None
-            if oracle:
-                other = realizable_as_q2_oracle(x, p_even,
-                                                config.search_bound)
-                if (witness is None) != (other is None):
-                    raise InvariantViolation(
-                        "divisor criterion and brute force disagree "
-                        f"at q={q}")
-        rows.append({
-            "x": x_text, "q": q,
-            "p_even": p_even, "p_odd": p_odd,
-            "even_realizable": realizable,
-            "witness": _pairs_text(witness.quotients)
-            if witness is not None else "",
-            "cutoff": q2_cutoff_check(x, q).value,
-        })
-    header = ["x", "q", "p_even", "p_odd", "even_realizable", "witness",
-              "cutoff"]
-    return rows, header
-
-
 def cmd_classify(args, config: RunConfig):
     if (args.p is None) == (args.q is None):
         raise UsageError("give exactly one of --p or --q")
@@ -325,13 +287,20 @@ def cmd_classify(args, config: RunConfig):
     x_text = to_text(x)
     if args.p is not None:
         low, high = _parse_range(args.p)
-        rows, header = _classify_by_p(x, x_text, low, high, config,
-                                      args.oracle)
+        # the sweep starts at p = 1: starting it at low would change what
+        # the classify benchmark measures (ROADMAP.md, item 4)
+        rows = [row for row in sweep_rows(x, x_text, high,
+                                          bound=config.search_bound,
+                                          oracle=args.oracle)
+                if row["p"] >= low]
+        header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
         mode = "p"
     else:
         low, high = _parse_range(args.q)
-        rows, header = _classify_by_q(x, x_text, low, high, config,
-                                      args.oracle)
+        rows = sweep_q_rows(x, x_text, low, high, bound=config.search_bound,
+                            oracle=args.oracle)
+        header = ["x", "q", "p_even", "p_odd", "even_realizable", "witness",
+                  "cutoff"]
         mode = "q"
     doc = {
         "schema": _SCHEMA,

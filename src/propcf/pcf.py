@@ -223,23 +223,6 @@ def convergents(expansion: PCFExpansion) -> ConvergentSeq:
     return ConvergentSeq(expansion)
 
 
-def moebius_product(expansion: PCFExpansion, n: int | None = None):
-    """Product of the step matrices [[0, a_i], [1, b_i]] for i <= n.
-
-    Returns ((m00, m01), (m10, m11)); the columns are the unreduced
-    convergent pairs (p_{n-1}, q_{n-1}) and (p_n, q_n).
-    """
-    if n is None:
-        n = len(expansion.quotients)
-    if n < 0 or n > len(expansion.quotients):
-        raise IndexError(f"prefix length {n} out of range")
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for quot in expansion.quotients[:n]:
-        a, b = quot.a, quot.b
-        m00, m01, m10, m11 = m01, m00 * a + m01 * b, m11, m10 * a + m11 * b
-    return (m00, m01), (m10, m11)
-
-
 def reconstruct(expansion: PCFExpansion) -> ExactReal:
     """Fold the digit pairs back around the tail; exact inverse of expand."""
     value = expansion.tail

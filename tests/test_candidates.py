@@ -27,6 +27,7 @@ from propcf.candidates import (
     realize_odd,
     return_time_check,
     sharpness_witness,
+    sweep_q_rows,
     sweep_rows,
 )
 from propcf.exactreal import (
@@ -35,6 +36,7 @@ from propcf.exactreal import (
     Surd,
     floor_exact,
     frac_part,
+    parse_exact,
     sqrt_exact,
 )
 from propcf.pcf import PCFExpansion, convergents, expand, reconstruct
@@ -283,6 +285,39 @@ def test_sweep_rows_golden():
     even3 = rows[5]
     assert even3["witness"] == "1/1 2/3"
     assert even3["cutoff"] == "guaranteed_realizable"
+
+
+@pytest.mark.parametrize("spec", ["golden", "sqrt2-1", "(sqrt7-2)/3",
+                                  "(sqrt13-3)/2"])
+def test_sweeps_by_p_and_by_q_agree(spec):
+    x = parse_exact(spec)
+    p_max = 150
+    by_p = sweep_rows(x, "", p_max)
+    q_max = floor_exact(p_max / x)
+    by_q = sweep_q_rows(x, "", 1, q_max)
+    assert [row["q"] for row in by_q] == list(range(1, q_max + 1))
+    odd = {row["p"]: row for row in by_p if row["parity"] == "odd"}
+    even = {row["p"]: row for row in by_p if row["parity"] == "even"}
+    for p, row in odd.items():
+        assert row["q"] == candidate_q_for_p(x, p)[0]
+    p_even_seen, p_odd_seen = [], []
+    for row in by_q:
+        p_even, p_odd = row["p_even"], row["p_odd"]
+        if p_even is not None and p_even <= p_max:
+            p_even_seen.append(p_even)
+            want = even[p_even]
+            assert (row["q"], row["even_realizable"], row["witness"],
+                    row["cutoff"]) == (want["q"], want["realizable"],
+                                       want["witness"], want["cutoff"])
+        if p_even is None:
+            assert row["even_realizable"] is None and row["witness"] == ""
+        if p_odd is not None and p_odd <= p_max:
+            p_odd_seen.append(p_odd)
+            assert odd[p_odd]["q"] == row["q"]
+    # every numerator's odd candidate falls in 1..q_max, and so does every
+    # even one whose denominator does
+    assert p_odd_seen == list(range(1, p_max + 1))
+    assert p_even_seen == [p for p, row in even.items() if row["q"] <= q_max]
 
 
 def test_cutoff_margin_survey_shape():

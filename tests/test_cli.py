@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from propcf import cli
+from propcf import candidates, cli
 from propcf.candidates import InvariantViolation
 
 
@@ -110,9 +110,12 @@ def test_classify_by_p_worked_example(capsys):
     assert all(row["realizable"] == "true" for row in odd)
 
 
-def test_classify_empty_range_succeeds(capsys):
-    doc = run_json(capsys, "classify", "golden", "--p", "5..3")
-    assert doc["rows"] == []
+def test_classify_reversed_range_exit_code(capsys):
+    for mode, window in (("--p", "5..1"), ("--q", "9..2")):
+        code = cli.main(["classify", "golden", mode, window])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith(f"error: bad range '{window}'")
 
 
 def test_classify_by_q(capsys):
@@ -137,6 +140,19 @@ def test_classify_needs_exactly_one_range(capsys):
 def test_classify_oracle_flag(capsys):
     doc = run_json(capsys, "classify", "golden", "--p", "1..6", "--oracle")
     assert doc["oracle_checked"] is True
+
+
+def test_classify_oracle_disagreement_exit_code(capsys, monkeypatch):
+    # an oracle contradicting the divisor criterion on every row must stop
+    # both sweeps, which share one cross-check
+    def contrary(x, p, bound=None):
+        return None if candidates.realizable_as_q2(x, p) else object()
+    monkeypatch.setattr(candidates, "realizable_as_q2_oracle", contrary)
+    for mode, window in (("--p", "1..6"), ("--q", "2..8")):
+        code = cli.main(["classify", "golden", mode, window, "--oracle"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVARIANT and captured.out == ""
+        assert f"disagree at {mode[2:]}=" in captured.err
 
 
 def test_classify_oracle_bound_too_small_exit_code(capsys):
@@ -253,7 +269,8 @@ def test_byte_identical_reruns():
 
 
 # sha256 of stdout as the enumeration and expand commands printed it
-# while their rows still held ints; the rows now hold strings, built once
+# while their rows still held ints (the rows now hold strings, built once),
+# and as classify printed it while its --q sweep still lived in the cli
 _PINNED_OUTPUT = (
     pytest.param(("rational", "12/19"),
                  "18eb4b1af16c40c7924e7ea3befa41c4cf985dc4c7705b15eb483d998e098a44",
@@ -275,6 +292,24 @@ _PINNED_OUTPUT = (
     pytest.param(("expand", "5/6", "--numerators", "4,3,2,1,1"),
                  "29913ae4d7d1c64e1d0c88dbdd5e37709ce72f11fbc14c35175786a339fe7d31",
                  id="expand-literal"),
+    pytest.param(("classify", "golden", "--p", "1..60", "--oracle"),
+                 "655e8110cc589408acafdbc9aec29b83b885ff6facb382d3906b385f961056f7",
+                 id="classify-p-oracle"),
+    pytest.param(("classify", "(sqrt13-3)/2", "--p", "40..90", "--format",
+                  "csv"),
+                 "85a7c49c6bb85c4e7431fbd3a8cbf07be88f68f214745de123ea501e90e220e8",
+                 id="classify-p-csv"),
+    pytest.param(("classify", "sqrt2-1", "--q", "1..120", "--oracle"),
+                 "256b297320defdf1e491c7a96226f042dfc01f74eaf0aff8177c7e2d1eafe7b1",
+                 id="classify-q-oracle"),
+    # rational x: rows with an empty p_even and not_even_candidate rows
+    pytest.param(("classify", "2/7", "--q", "1..40", "--format", "csv"),
+                 "7c662ec165bee2b2f6ece2cf651b3f0fc7fe33729d6fe4c17db0d2c6db728b74",
+                 id="classify-q-rational-csv"),
+    pytest.param(("classify", "(sqrt7-2)/3", "--q", "300..330", "--oracle",
+                  "--bound", "1000"),
+                 "935bd8ad0af5a2cc04145d73d0dbea7a20ee9f9030af3a1f11834a6d250da098",
+                 id="classify-q-bound"),
 )
 
 

@@ -26,7 +26,6 @@ from propcf.pcf import (
     expansion_from_json,
     expansion_to_json,
     longest_chain,
-    moebius_product,
     one_minus_transform,
     pcf_step,
     rational_images,
@@ -146,7 +145,6 @@ def test_recurrence_matches_matrix_products():
             (m00, m01), (m10, m11) = mats[n]
             assert (m00, m10) == cv.pair(n - 1)
             assert (m01, m11) == cv.pair(n)
-            assert moebius_product(e, n) == mats[n]
 
 
 def test_determinant_identity_randomized():
