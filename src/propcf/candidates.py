@@ -141,19 +141,27 @@ def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     return base, base + 1
 
 
+def _split_qx(x: ExactReal, q: int) -> tuple[int, ExactReal, bool]:
+    """floor(qx), frac(qx), and whether (floor(qx), q) is an even
+    candidate: 0 < frac(qx) < x and floor(qx) >= 1.  A pair hitting x
+    exactly (frac(qx) = 0) is no candidate."""
+    scaled = q * x
+    base = floor_exact(scaled)
+    f = scaled - base
+    return base, f, base >= 1 and not is_zero(f) and f < x
+
+
 def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
     """The only possible numerators for denominator q, as (p_even, p_odd).
 
-    p_even = floor(qx) works iff frac(qx) < x; p_odd = floor(qx)+1 works
-    iff frac(qx) > 1-x.  A missing side is None.
+    p_even = floor(qx) works iff 0 < frac(qx) < x; p_odd = floor(qx)+1
+    works iff frac(qx) > 1-x.  A missing side is None.
     """
     if q < 1:
         raise ValueError("need q >= 1")
     x = _exact(x)
-    scaled = q * x
-    base = floor_exact(scaled)
-    f = scaled - base
-    p_even = base if (f < x and base >= 1) else None
+    base, f, even = _split_qx(x, q)
+    p_even = base if even else None
     p_odd = base + 1 if f > 1 - x else None
     return p_even, p_odd
 
@@ -384,8 +392,8 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     if q < 1:
         raise ValueError("need q >= 1")
     x = _exact(x)
-    f = frac_part(q * x)
-    if is_zero(f) or not (f < x) or floor_exact(q * x) < 1:
+    _, f, even = _split_qx(x, q)
+    if not even:
         return CutoffVerdict.NOT_EVEN_CANDIDATE
     if f < _cutoff_threshold(x):
         return CutoffVerdict.GUARANTEED_REALIZABLE
@@ -462,7 +470,7 @@ def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
     u = frac(qx)/x?  Data for the open region above the guaranteed cutoff;
     nothing is asserted here."""
     x = _exact(x)
-    threshold = max(Rational(1, 2), gauss_map(x, 1))
+    threshold = _cutoff_threshold(x) / x
     edges = [Rational(i, bins) for i in range(bins + 1)]
     counts = [[0, 0] for _ in range(bins)]
     for p in range(1, p_max + 1):

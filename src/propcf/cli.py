@@ -4,13 +4,16 @@ growth estimates, y(x) scatter data, and rational enumeration.
 Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
-out of range, a reversed range, a value that cannot be evaluated exactly,
-or an oracle --bound too small to decide a row), 4 internal invariant
-violation.
+such as --n, --bound or --orbits below its least value, a reversed range,
+a value that cannot be evaluated exactly, or an oracle --bound too small
+to decide a row), 4 internal invariant violation.
 
-The common flags --seed, --format and --out can also be set through the
-environment (PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag
-wins over the environment.
+Every request takes one path: argparse, then ``_config_from`` (range
+checks and the common flags), then one ``cmd_*`` that returns the document
+and its tables with every cell already text, then ``_emit``.  The common
+flags --seed, --format and --out can also be set through the environment
+(PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag wins over the
+environment.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -62,61 +64,36 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVARIANT = 4
 
-_ENV = {
-    "seed": "PROPCF_SEED",
-    "output_format": "PROPCF_FORMAT",
-    "out": "PROPCF_OUT",
-}
-
 _DEFAULT_LEN = 12
 _SCHEMA = 1
 
 # count flags of the subcommands as (flag, argparse destination, least
-# value); yofx stores its --n apart from the orbit length of simulate and
-# growth, which RunConfig checks
+# value); --n is the orbit length of simulate and growth but the greedy
+# numerator of yofx, which stores it apart
 _COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
-                ("--limit", "limit", 0), ("--n", "numerator", 1))
+                ("--limit", "limit", 0), ("--n", "n", 1),
+                ("--n", "numerator", 1), ("--bound", "bound", 1))
 
 
 class UsageError(ValueError):
     """Bad command-line input that argparse itself cannot catch."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by every subcommand."""
-
-    seed: int = 0
-    output_format: str = "json"
-    orbit_length: int = 100
-    search_bound: int | None = None
-
-    def __post_init__(self):
-        if not (0 <= self.seed < 1 << 64):
-            raise UsageError("seed must fit in 64 bits")
-        if self.output_format not in ("json", "csv"):
-            raise UsageError("format must be json or csv")
-        if self.orbit_length < 1:
-            raise UsageError("orbit length must be at least 1")
-        if self.search_bound is not None and self.search_bound < 1:
-            raise UsageError("search bound must be at least 1")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
 
-def _env_or(name: str, flag_value, fallback, convert):
+def _env_or(flag_value, variable: str, fallback, convert):
     """Flag wins, then the environment, then the built-in default."""
     if flag_value is not None:
         return flag_value
-    raw = os.environ.get(_ENV[name])
+    raw = os.environ.get(variable)
     if raw is None:
         return fallback
     try:
         return convert(raw)
     except ValueError as exc:
-        raise UsageError(f"bad {_ENV[name]}={raw!r}: {exc}") from None
+        raise UsageError(f"bad {variable}={raw!r}: {exc}") from None
 
 
 def parse_x_spec(text: str):
@@ -151,13 +128,10 @@ def _numerator_pairs(x, spec: str, length: int | None):
     go through the standard digit recurrence; the family names drive
     their own self-reading expansions.
     """
-    cap = length
-    if spec == "varnum":
-        pairs, tail = varnum_expand(x, cap or _DEFAULT_LEN)
-        return PCFExpansion.from_pairs(pairs, tail)
-    if spec == "engel":
-        pairs, tail = engel_pairs(x, cap or _DEFAULT_LEN)
-        return PCFExpansion.from_pairs(pairs, tail)
+    want = length or _DEFAULT_LEN
+    if spec in ("varnum", "engel"):
+        family = varnum_expand if spec == "varnum" else engel_pairs
+        return PCFExpansion.from_pairs(*family(x, want))
     if spec.startswith("all:"):
         try:
             n = int(spec[4:])
@@ -165,10 +139,9 @@ def _numerator_pairs(x, spec: str, length: int | None):
             raise UsageError(f"bad numerator spec {spec!r}") from None
         if n < 1:
             raise UsageError("constant numerator must be at least 1")
-        return expand(x, repeat(n), max_len=cap or _DEFAULT_LEN)
+        return expand(x, repeat(n), max_len=want)
     if spec.startswith("rcf-of:"):
         y = parse_x_spec(spec[len("rcf-of:"):])
-        want = cap or _DEFAULT_LEN
         stream = expand(y, repeat(1), max_len=want).digits()
         return expand(x, stream, max_len=want)
     try:
@@ -179,7 +152,7 @@ def _numerator_pairs(x, spec: str, length: int | None):
             "all:N, rcf-of:SPEC, varnum, or engel") from None
     if not literal or any(a < 1 for a in literal):
         raise UsageError("numerators must be positive integers")
-    return expand(x, literal, max_len=cap)
+    return expand(x, literal, max_len=length)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +164,12 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
+
+
+def _text_row(row: dict) -> dict:
+    """The row with every cell as the string both output formats print."""
+    return {key: _cell(value) for key, value in row.items()}
 
 
 def _csv_text(header: list[str], rows: list[dict]) -> str:
@@ -201,19 +177,20 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in header])
+        writer.writerow([row[col] for col in header])
     return buf.getvalue()
 
 
 def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
-          config: RunConfig, out: str | None) -> None:
+          args) -> None:
     """Write the JSON document, or the CSV tables, to stdout or --out.
 
     Several CSV tables go to one sectioned stream on stdout; with --out
     the first table takes the named file and each further table gets the
     table name spliced in before the extension.
     """
-    if config.output_format == "json":
+    out = args.out
+    if args.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if out is None:
             sys.stdout.write(text)
@@ -240,14 +217,13 @@ def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
 # subcommands
 
 
-def cmd_expand(args, config: RunConfig):
+def cmd_expand(args):
     x = parse_x_spec(args.x)
     expansion = _numerator_pairs(x, args.numerators, args.len)
     cv = convergents(expansion)
     margins = approximation_margins(x, expansion)
     sign, product = 1, 1
     p_prev, q_prev = cv.pair(0)
-    # every cell is a string, built once for the JSON rows and the CSV table
     rows = []
     for n, (quot, margin) in enumerate(zip(expansion.quotients, margins),
                                        start=1):
@@ -266,8 +242,6 @@ def cmd_expand(args, config: RunConfig):
         })
         p_prev, q_prev = p, q
     doc = {
-        "schema": _SCHEMA,
-        "command": "expand",
         "x": to_text(x),
         "numerators": args.numerators,
         "length": len(expansion),
@@ -280,7 +254,7 @@ def cmd_expand(args, config: RunConfig):
     return doc, [("expansion", header, rows)]
 
 
-def cmd_classify(args, config: RunConfig):
+def cmd_classify(args):
     if (args.p is None) == (args.q is None):
         raise UsageError("give exactly one of --p or --q")
     x = parse_x_spec(args.x)
@@ -289,36 +263,33 @@ def cmd_classify(args, config: RunConfig):
         low, high = _parse_range(args.p)
         # the sweep starts at p = 1: starting it at low would change what
         # the classify benchmark measures (ROADMAP.md, item 4)
-        rows = [row for row in sweep_rows(x, x_text, high,
-                                          bound=config.search_bound,
-                                          oracle=args.oracle)
-                if row["p"] >= low]
+        rows = [_text_row(row) for row in sweep_rows(
+            x, x_text, high, bound=args.bound, oracle=args.oracle)
+            if row["p"] >= low]
         header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
         mode = "p"
     else:
         low, high = _parse_range(args.q)
-        rows = sweep_q_rows(x, x_text, low, high, bound=config.search_bound,
-                            oracle=args.oracle)
+        rows = [_text_row(row) for row in sweep_q_rows(
+            x, x_text, low, high, bound=args.bound, oracle=args.oracle)]
         header = ["x", "q", "p_even", "p_odd", "even_realizable", "witness",
                   "cutoff"]
         mode = "q"
     doc = {
-        "schema": _SCHEMA,
-        "command": "classify",
         "x": x_text,
         "mode": mode,
         "range": [low, high],
         "oracle_checked": bool(args.oracle),
-        "rows": [{key: _cell(row[key]) for key in header} for row in rows],
+        "rows": rows,
     }
     return doc, [("candidates", header, rows)]
 
 
-def cmd_simulate(args, config: RunConfig):
+def cmd_simulate(args):
     y = parse_x_spec(args.y)
-    n = config.orbit_length
+    n = args.n
     bits = bits_for_orbit_length(n)
-    master = random.Random(config.seed)
+    master = random.Random(args.seed)
     digests = []
     visits: Counter[tuple[int, int]] = Counter()
     partial = False
@@ -328,9 +299,9 @@ def cmd_simulate(args, config: RunConfig):
         report = growth_exponent(x0, y, n, record=record)
         partial = partial or report.truncated
         visits.update(record.digits)
-        digests.append({
+        digests.append(_text_row({
             "orbit": index,
-            "seed": config.seed,
+            "seed": args.seed,
             "n": n,
             "steps": record.steps,
             "estimate": report.estimate,
@@ -339,25 +310,22 @@ def cmd_simulate(args, config: RunConfig):
             "reliable": report.reliable,
             "truncated": report.truncated,
             "terminated_by": record.terminated_by,
-        })
+        }))
     total = sum(visits.values())
     frequencies = [
-        {"a": a, "b": b, "count": count,
+        {"a": str(a), "b": str(b), "count": str(count),
          "frequency": str(Fraction(count, total))}
         for (a, b), count in sorted(visits.items())
     ]
     doc = {
-        "schema": _SCHEMA,
-        "command": "simulate",
-        "seed": config.seed,
+        "seed": args.seed,
         "orbits": args.orbits,
         "n": n,
         "seed_bits": bits,
         "y": to_text(y),
         "partial": partial,
-        "digests": [{key: _cell(row[key]) for key in row} for row in digests],
-        "frequencies": [{key: _cell(row[key]) for key in row}
-                        for row in frequencies],
+        "digests": digests,
+        "frequencies": frequencies,
     }
     digest_header = ["orbit", "seed", "n", "steps", "estimate", "trend_slope",
                      "oscillation", "reliable", "truncated", "terminated_by"]
@@ -366,25 +334,23 @@ def cmd_simulate(args, config: RunConfig):
                  ("frequencies", freq_header, frequencies)]
 
 
-def cmd_growth(args, config: RunConfig):
+def cmd_growth(args):
     y = parse_x_spec(args.y)
-    n = config.orbit_length
+    n = args.n
     doc = {
-        "schema": _SCHEMA,
-        "command": "growth",
         "y": to_text(y),
         "n": n,
-        "seed": config.seed,
+        "seed": args.seed,
     }
     if args.x is not None:
         x0 = parse_x_spec(args.x)
         doc["x"] = to_text(x0)
     else:
         bits = bits_for_orbit_length(n)
-        x0 = random_unit_rational(random.Random(config.seed), bits)
+        x0 = random_unit_rational(random.Random(args.seed), bits)
         doc["seed_bits"] = bits
     report = growth_exponent(x0, y, n)
-    row = {
+    row = _text_row({
         "n": n,
         "steps": report.steps,
         "estimate": report.estimate,
@@ -392,24 +358,19 @@ def cmd_growth(args, config: RunConfig):
         "oscillation": report.oscillation,
         "reliable": report.reliable,
         "truncated": report.truncated,
-    }
-    doc.update({key: _cell(value) for key, value in row.items()})
+    })
+    doc.update(row)
     header = ["n", "steps", "estimate", "trend_slope", "oscillation",
               "reliable", "truncated"]
     return doc, [("growth", header, [row])]
 
 
-def cmd_yofx(args, config: RunConfig):
+def cmd_yofx(args):
     rows = emit_y_scatter(args.family, args.grid, args.depth, n=args.numerator)
     live = [row for row in rows if not row["skip"]]
-    min_y = None
-    for row in live:
-        value = Rational(int(row["y_num"]), int(row["y_den"]))
-        if min_y is None or value < min_y:
-            min_y = value
+    min_y = min((Rational(int(row["y_num"]), int(row["y_den"]))
+                 for row in live), default=None)
     doc = {
-        "schema": _SCHEMA,
-        "command": "yofx",
         "family": args.family,
         "grid": args.grid,
         "depth": args.depth,
@@ -424,21 +385,18 @@ def cmd_yofx(args, config: RunConfig):
     return doc, [("scatter", header, rows)]
 
 
-def cmd_rational(args, config: RunConfig):
+def cmd_rational(args):
     value = parse_x_spec(args.value)
     if not isinstance(value, Rational):
         raise UsageError("rational enumeration needs a rational value")
     expansions = enumerate_rational_expansions(value, length=args.len)
     lengths = sorted({len(e) for e in expansions})
-    # string cells, shared by the JSON rows and the CSV table
     rows = [{
         "index": str(i),
         "length": str(len(e)),
         "pairs": _pairs_text(e.quotients),
     } for i, e in enumerate(expansions[:args.limit])]
     doc = {
-        "schema": _SCHEMA,
-        "command": "rational",
         "value": to_text(value),
         "count": len(expansions),
         "max_length": max(lengths) if lengths else 0,
@@ -494,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="seeded joint-map orbits with digests and "
                             "cylinder frequencies")
-    p.add_argument("--n", type=int, default=None, help="orbit length")
+    p.add_argument("--n", type=int, default=100,
+                   help="orbit length (default 100)")
     p.add_argument("--orbits", type=int, default=1,
                    help="number of orbits (default 1)")
     p.add_argument("--y", default="golden",
@@ -507,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="y seed spec (default golden)")
     p.add_argument("--x", default=None,
                    help="explicit x seed (default: drawn from --seed)")
-    p.add_argument("--n", type=int, default=None, help="orbit length")
+    p.add_argument("--n", type=int, default=100,
+                   help="orbit length (default 100)")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("yofx", parents=[common],
@@ -533,29 +493,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> tuple[RunConfig, str | None]:
+def _config_from(args) -> None:
+    """Range-check the count flags, then settle --seed, --format and --out
+    in place: the flag, else its PROPCF_* variable, else the default."""
     for flag, dest, least in _COUNT_FLAGS:
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}")
-    orbit_length = getattr(args, "n", None)
-    config = RunConfig(
-        seed=_env_or("seed", args.seed, 0, int),
-        output_format=_env_or("output_format", args.format, "json", str),
-        orbit_length=orbit_length if orbit_length is not None else 100,
-        search_bound=getattr(args, "bound", None),
-    )
-    out = _env_or("out", args.out, None, str)
-    return config, out
+    args.seed = _env_or(args.seed, "PROPCF_SEED", 0, int)
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError("seed must fit in 64 bits")
+    args.format = _env_or(args.format, "PROPCF_FORMAT", "json", str)
+    if args.format not in ("json", "csv"):
+        raise UsageError("format must be json or csv")
+    args.out = _env_or(args.out, "PROPCF_OUT", None, str)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config, out = _config_from(args)
-        doc, tables = args.func(args, config)
-        _emit(doc, tables, config, out)
+        _config_from(args)
+        doc, tables = args.func(args)
+        doc.update(schema=_SCHEMA, command=args.command)
+        _emit(doc, tables, args)
     except (InvariantViolation, MiddleCaseError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

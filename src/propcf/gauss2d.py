@@ -115,17 +115,18 @@ def joint_step(state: JointState) -> tuple[JointState, CylinderAddress]:
 
 
 def cylinder_of(state: JointState) -> CylinderAddress:
-    """The open cell containing the point; gridline points are rejected."""
-    x, y = state.x, state.y
-    if is_zero(x) or is_zero(y):
-        raise OnBoundary("a zero coordinate is on the partition boundary")
-    inv_y = 1 / y
-    a = floor_exact(inv_y)
-    if is_zero(inv_y - a):
+    """The open cell containing the point; gridline points are rejected.
+
+    The point is on a gridline exactly when a coordinate or its image
+    under the map is zero."""
+    try:
+        a, b, x, y = _step(state.x, state.y)
+    except ZeroCoordinate:
+        raise OnBoundary(
+            "a zero coordinate is on the partition boundary") from None
+    if is_zero(y):
         raise OnBoundary(f"y = 1/{a} lies on a horizontal gridline")
-    ratio = a / x
-    b = floor_exact(ratio)
-    if is_zero(ratio - b):
+    if is_zero(x):
         raise OnBoundary(f"x = {a}/{b} lies on a vertical gridline")
     return CylinderAddress(a, b)
 
@@ -184,15 +185,14 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
     return OrbitRecord(tuple(digits), cs, samples, n, terminated_by)
 
 
-def float_orbit(x0: float, y0: float, n: int,
-                track_convergents: bool = False) -> OrbitRecord:
+def float_orbit(x0: float, y0: float, n: int) -> OrbitRecord:
     """Plain floating-point orbit for long statistical runs.
 
     Digits eventually decouple from the exact orbit of the same seed
     (floats forget), which is fine for frequency and growth statistics.
     Growth samples come from the denominator ratio recurrence
-    r_k = b_k + a_k/r_{k-1}, so no big integers are built unless
-    ``track_convergents`` asks for them.
+    r_k = b_k + a_k/r_{k-1}, so no big integers are built and the record
+    carries no convergents.
     """
     if n < 0:
         raise ValueError("orbit length cannot be negative")
@@ -218,8 +218,7 @@ def float_orbit(x0: float, y0: float, n: int,
         log_q += math.log(ratio)
         samples.append((k, log_q / k))
         ratio_prev = ratio
-    cs = ConvergentSeq(digits) if track_convergents else None
-    return OrbitRecord(tuple(digits), cs, tuple(samples), n, terminated_by)
+    return OrbitRecord(tuple(digits), None, tuple(samples), n, terminated_by)
 
 
 @dataclass(frozen=True)

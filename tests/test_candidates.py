@@ -1,6 +1,7 @@
 """Tests for candidate pairs, realizability, push-down/lift, sharpness."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -272,6 +273,32 @@ def test_cutoff_is_sound():
                 assert p_even is not None
                 if verdict is CutoffVerdict.GUARANTEED_REALIZABLE:
                     assert realizable_as_q2(x, p_even) is not None
+
+
+def _even_numerator_by_definition(x, q: int) -> int | None:
+    """The p with qx - p in (0, x), read off is_candidate alone."""
+    base = floor_exact(q * x)
+    for p in range(max(base - 1, 1), base + 2):
+        got = is_candidate(x, p, q)
+        if got is not None and got.parity is Parity.EVEN:
+            return p
+    return None
+
+
+def test_even_side_has_one_rule():
+    # a rational x with qx an integer has no even candidate for q: the pair
+    # (qx, q) hits x exactly, and all three functions must say so
+    values = [Rational(t, s) for s in range(2, 30) for t in range(1, s)
+              if math.gcd(t, s) == 1]
+    values += [parse_exact(spec) for spec in
+               ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")]
+    for x in values:
+        for q in range(1, 81):
+            p_even = _even_numerator_by_definition(x, q)
+            assert candidate_p_for_q(x, q)[0] == p_even, (x, q)
+            verdict = q2_cutoff_check(x, q)
+            assert (verdict is CutoffVerdict.NOT_EVEN_CANDIDATE) == (
+                p_even is None), (x, q)
 
 
 def test_sweep_rows_golden():

@@ -270,7 +270,9 @@ def test_byte_identical_reruns():
 
 # sha256 of stdout as the enumeration and expand commands printed it
 # while their rows still held ints (the rows now hold strings, built once),
-# and as classify printed it while its --q sweep still lived in the cli
+# as classify printed it while its --q sweep still lived in the cli, and as
+# yofx printed it while a per-run config object still sat between argparse
+# and the commands
 _PINNED_OUTPUT = (
     pytest.param(("rational", "12/19"),
                  "18eb4b1af16c40c7924e7ea3befa41c4cf985dc4c7705b15eb483d998e098a44",
@@ -302,14 +304,26 @@ _PINNED_OUTPUT = (
     pytest.param(("classify", "sqrt2-1", "--q", "1..120", "--oracle"),
                  "256b297320defdf1e491c7a96226f042dfc01f74eaf0aff8177c7e2d1eafe7b1",
                  id="classify-q-oracle"),
-    # rational x: rows with an empty p_even and not_even_candidate rows
+    # rational x: rows with an empty p_even and not_even_candidate rows;
+    # q = 7, 14, ..., 35 have no even candidate, since (qx, q) hits x
     pytest.param(("classify", "2/7", "--q", "1..40", "--format", "csv"),
-                 "7c662ec165bee2b2f6ece2cf651b3f0fc7fe33729d6fe4c17db0d2c6db728b74",
+                 "3b6567a77286f973610c6fc5e5d57427faed35a73f2920d4ce5e4441af8c9d46",
                  id="classify-q-rational-csv"),
     pytest.param(("classify", "(sqrt7-2)/3", "--q", "300..330", "--oracle",
                   "--bound", "1000"),
                  "935bd8ad0af5a2cc04145d73d0dbea7a20ee9f9030af3a1f11834a6d250da098",
                  id="classify-q-bound"),
+    pytest.param(("yofx", "--family", "varnum", "--grid", "8", "--depth", "5",
+                  "--format", "csv"),
+                 "d41e5c18ea40b7e570d19ff85111daa9af3a0dc9b1d1f233bf9fe783025bb3d6",
+                 id="yofx-varnum-csv"),
+    pytest.param(("yofx", "--family", "greedy", "--grid", "5", "--depth", "4",
+                  "--n", "3"),
+                 "c3a550e7cf2ee0877f3a1444f78ff01b3afde432d22ace66925e2de20fd56450",
+                 id="yofx-greedy"),
+    pytest.param(("yofx", "--family", "engel", "--grid", "8", "--depth", "5"),
+                 "714f87b9a004f58b1df7106ec8ad580dc75c1a2d797a1d3a4d56bca4259f89bb",
+                 id="yofx-engel"),
 )
 
 
@@ -358,8 +372,14 @@ def test_env_overrides_with_flag_precedence():
 
 
 def test_config_validation(capsys):
-    code, _ = run_main(capsys, "growth", "--n", "0", "--x", "1/3")
-    assert code == cli.EXIT_PARSE
+    for argv, message in ((("growth", "--n", "0", "--x", "1/3"), "--n"),
+                          (("simulate", "--n", "0"), "--n"),
+                          (("classify", "golden", "--p", "1..3",
+                            "--bound", "0"), "--bound")):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and captured.out == ""
+        assert captured.err == f"error: {message} must be at least 1\n"
     code, _ = run_main(capsys, "growth", "--n", "10", "--x", "1/3",
                        "--seed", "-1")
     assert code == cli.EXIT_PARSE

@@ -2,8 +2,9 @@
 arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
 constructor, exact orbits against a plain-``Fraction`` step loop, the
-unchecked enumeration tree against ``expand`` and ``reconstruct``, and
-the ``expand`` command's rows against ``ConvergentSeq``."""
+joint step against its inverse branches, the unchecked enumeration tree
+against ``expand`` and ``reconstruct``, and the ``expand`` command's rows
+against ``ConvergentSeq``."""
 from __future__ import annotations
 
 import contextlib
@@ -18,8 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propcf import cli
-from propcf.exactreal import GOLDEN, Rational, Surd, parse_exact, to_text
-from propcf.gauss2d import orbit
+from propcf.exactreal import (
+    GOLDEN,
+    Rational,
+    Surd,
+    frac_part,
+    parse_exact,
+    to_text,
+)
+from propcf.gauss2d import JointState, ZeroCoordinate, joint_step, orbit
 from propcf.pcf import (
     ConvergentSeq,
     PCFExpansion,
@@ -239,6 +247,33 @@ def test_orbit_digits_match_fraction_loop(x, y, n):
     assert list(record.digits) == _fraction_orbit(x, y, n)
 
 
+_FIELD_SPECS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
+
+
+def _unit_points():
+    """Exact points of (0, 1): rationals, and frac(k*v) for v from one of
+    the four benchmark fields."""
+    fields = st.builds(lambda spec, k: frac_part(k * parse_exact(spec)),
+                       st.sampled_from(_FIELD_SPECS), st.integers(1, 500))
+    return _unit_fractions(200).map(_rational) | fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_points(), _unit_points(), st.integers(1, 6))
+def test_joint_step_inverse_branches(x, y, steps):
+    # the cylinder (a, b) of each step selects the inverse branch
+    # x_prev = a/(b + x'), y_prev = 1/(a + y') that recovers the point
+    state = JointState(x, y)
+    for _ in range(steps):
+        try:
+            image, cell = joint_step(state)
+        except ZeroCoordinate:
+            break
+        assert cell.a / (cell.b + image.x) == state.x
+        assert 1 / (cell.a + image.y) == state.y
+        state = image
+
+
 # ---------------------------------------------------------------------------
 # the enumeration tree and the expand rows
 
@@ -273,9 +308,6 @@ def test_enumeration_round_trips_through_expand(ts):
     for k in sorted(lengths | {1, max(lengths) + 1}):
         assert enumerate_rational_expansions(value, length=k) == [
             e for e in full if len(e) == k]
-
-
-_FIELD_SPECS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
 
 
 @settings(max_examples=60, deadline=None)
