@@ -22,6 +22,7 @@ from .exactreal import (
     Rational,
     _exact,
     floor_exact,
+    floor_times,
     frac_part,
     is_zero,
 )
@@ -106,7 +107,7 @@ def gauss_map(x, numerator: int = 1) -> ExactReal:
 def _unit_reciprocal(x: ExactReal) -> ExactReal:
     """1/x for an exact x in (0, 1], the domain of every expansion step;
     callers that divide many numerators by one x take it once."""
-    if not (Rational(0) < x) or x > Rational(1):
+    if not (0 < x) or x > 1:
         raise ValueError("expansion steps need 0 < x <= 1")
     return 1 / x
 
@@ -137,7 +138,7 @@ def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     floor(p/x) on the odd side and floor(p/x)+1 on the even side."""
     if p < 1:
         raise ValueError("need p >= 1")
-    base = floor_exact(Rational(p) / _exact(x))
+    base = floor_times(p, 1 / _exact(x))
     return base, base + 1
 
 
@@ -145,9 +146,8 @@ def _split_qx(x: ExactReal, q: int) -> tuple[int, ExactReal, bool]:
     """floor(qx), frac(qx), and whether (floor(qx), q) is an even
     candidate: 0 < frac(qx) < x and floor(qx) >= 1.  A pair hitting x
     exactly (frac(qx) = 0) is no candidate."""
-    scaled = q * x
-    base = floor_exact(scaled)
-    f = scaled - base
+    base = floor_times(q, x)
+    f = q * x - base
     return base, f, base >= 1 and not is_zero(f) and f < x
 
 
@@ -184,13 +184,13 @@ def fractional_part_characterization(x, q: int):
     odd side:  frac(qx) > 1 - x     iff  floor((floor(qx)+1)/x) == q
     """
     x = _exact(x)
-    scaled = q * x
-    base = floor_exact(scaled)
-    f = scaled - base
+    inv = 1 / x
+    base = floor_times(q, x)
+    f = q * x - base
     even_frac = bool(f < x)
-    even_floor = base >= 1 and floor_exact(Rational(base) / x) + 1 == q
+    even_floor = base >= 1 and floor_times(base, inv) + 1 == q
     odd_frac = bool(f > 1 - x)
-    odd_floor = floor_exact(Rational(base + 1) / x) == q
+    odd_floor = floor_times(base + 1, inv) == q
     return FracCharReport(q, even_frac, even_floor, odd_frac, odd_floor)
 
 
@@ -215,7 +215,7 @@ class FracCharReport:
 def beatty(r, count: int) -> list[int]:
     """floor(k*r) for k = 1..count."""
     r = _exact(r)
-    return [floor_exact(k * r) for k in range(1, count + 1)]
+    return [floor_times(k, r) for k in range(1, count + 1)]
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _beatty_upto(r, n_max: int) -> set[int]:
     out = set()
     k = 1
     while True:
-        v = floor_exact(k * r)
+        v = floor_times(k, r)
         if v > n_max:
             return out
         out.add(v)
@@ -307,7 +307,7 @@ def realize_odd(x, p: int) -> RealizationWitness:
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
-    b1 = floor_exact(Rational(p) / x)
+    b1 = floor_times(p, 1 / x)
     witness = RealizationWitness((PartialQuotient(p, b1),), 1)
     if not witness.verify(x, p, b1):
         raise InvariantViolation(f"odd witness failed for p={p}")
@@ -317,17 +317,22 @@ def realize_odd(x, p: int) -> RealizationWitness:
 def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     """Divisor criterion for the even candidate (p, floor(p/x)+1): a
     realizing two-step prefix exists iff some divisor a of p has
-    frac(p/x) + frac(a/x) > 1.  Returns the constructed witness or None."""
+    frac(p/x) + frac(a/x) > 1.  Returns the constructed witness or None.
+
+    The test runs on floors alone: the fractional parts sum to at least 1
+    exactly when floor((p+a)/x) exceeds floor(p/x) + floor(a/x), and to
+    exactly 1 when, besides, (p+a)/x is a whole number (floor equals
+    ceiling), which only a rational x allows."""
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
     inv = _unit_reciprocal(x)
-    q = floor_exact(p * inv) + 1
-    tail_p = frac_part(p * inv)
+    base = floor_times(p, inv)
+    q = base + 1
     for a in _divisors(p):
-        scaled = a * inv
-        if tail_p + frac_part(scaled) > Rational(1):
-            b1 = floor_exact(scaled)
+        b1 = floor_times(a, inv)
+        both = floor_times(p + a, inv)
+        if both > base + b1 and both != -floor_times(-p - a, inv):
             b2 = p // a
             a2 = q - b1 * b2
             if a2 < 1 or a2 > b2:
@@ -354,15 +359,14 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
         raise ValueError("need p >= 1")
     x = _exact(x)
     inv = _unit_reciprocal(x)
-    q = floor_exact(p * inv) + 1
+    q = floor_times(p, inv) + 1
     truncated = False
     for a1 in _divisors(p):
-        scaled = a1 * inv
-        b1 = floor_exact(scaled)
+        b1 = floor_times(a1, inv)
         b2 = p // a1
         if b2 < 1:
             continue
-        x1 = frac_part(scaled)
+        x1 = a1 * inv - b1
         if is_zero(x1):
             continue  # terminated: no second digit exists on this branch
         inv1 = 1 / x1
@@ -370,7 +374,7 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
         if hi < b2:
             truncated = True
         for a2 in range(1, hi + 1):
-            if floor_exact(a2 * inv1) != b2:
+            if floor_times(a2, inv1) != b2:
                 continue
             if b1 * b2 + a2 != q:
                 continue
@@ -521,7 +525,7 @@ def push_down_index(x, expansion: PCFExpansion, k: int) -> PCFExpansion:
     merge = pk1.b * pk2.b + pk2.a
     new_a = pk.a * merge
     new_b = pk.b * merge + pk1.a * pk2.b
-    check = floor_exact(Rational(new_a) / rems[k - 1])
+    check = floor_exact(new_a / rems[k - 1])
     if check != new_b:
         raise InvariantViolation(
             f"merged digit {new_b} disagrees with floor(a'/x_{k-1}) = {check}")

@@ -72,7 +72,8 @@ _SCHEMA = 1
 # numerator of yofx, which stores it apart
 _COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
                 ("--limit", "limit", 0), ("--n", "n", 1),
-                ("--n", "numerator", 1), ("--bound", "bound", 1))
+                ("--n", "numerator", 1), ("--bound", "bound", 1),
+                ("--grid", "grid", 2), ("--depth", "depth", 1))
 
 
 class UsageError(ValueError):

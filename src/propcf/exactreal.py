@@ -18,6 +18,13 @@ result, which is what keeps long exact orbits fast.  Arithmetic with a
 surd builds its result in that surd's field through
 ``Surd(..., _squarefree=True)``, which skips the radicand decomposition
 but still reduces, fixes the sign and demotes q == 0 to ``Rational``.
+
+A plain int operand stays an int: ``u + n`` and ``u - n`` move only the
+numerator, so the result is reduced as built; ``u * n`` cancels n against
+the denominator alone; ``n / u`` multiplies n into the conjugate without
+building 1/u; comparisons with n read one integer sign.  ``floor_times(n,
+v)`` gives floor(n*v) from one integer square root (none for a rational)
+and builds no value at all.
 """
 from __future__ import annotations
 
@@ -87,21 +94,32 @@ class ExactReal:
     def frac(self) -> "ExactReal":
         return frac_part(self)
 
+    # a plain int operand skips _coerce; ``type(other) is int`` sends bool
+    # down the general path
+
     def __add__(self, other):
+        if type(other) is int:
+            return _shift(self, other)
         o = _coerce(other)
         return NotImplemented if o is None else _add(self, o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is int:
+            return _shift(self, -other)
         o = _coerce(other)
         return NotImplemented if o is None else _add(self, _neg(o))
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return _shift(self, other, -1)
         o = _coerce(other)
         return NotImplemented if o is None else _add(o, _neg(self))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _scale(self, other)
         o = _coerce(other)
         return NotImplemented if o is None else _mul(self, o)
 
@@ -112,6 +130,8 @@ class ExactReal:
         return NotImplemented if o is None else _mul(self, _recip(o))
 
     def __rtruediv__(self, other):
+        if type(other) is int:
+            return _int_over(other, self)
         o = _coerce(other)
         return NotImplemented if o is None else _mul(o, _recip(self))
 
@@ -122,7 +142,7 @@ class ExactReal:
         return self
 
     def __abs__(self):
-        return _neg(self) if _sign(self) < 0 else self
+        return _neg(self) if _shift_sign(self, 0) < 0 else self
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -139,18 +159,26 @@ class ExactReal:
         return out
 
     def __lt__(self, other):
+        if type(other) is int:
+            return _shift_sign(self, other) < 0
         o = _coerce(other)
         return NotImplemented if o is None else _diff_sign(self, o) < 0
 
     def __le__(self, other):
+        if type(other) is int:
+            return _shift_sign(self, other) <= 0
         o = _coerce(other)
         return NotImplemented if o is None else _diff_sign(self, o) <= 0
 
     def __gt__(self, other):
+        if type(other) is int:
+            return _shift_sign(self, other) > 0
         o = _coerce(other)
         return NotImplemented if o is None else _diff_sign(self, o) > 0
 
     def __ge__(self, other):
+        if type(other) is int:
+            return _shift_sign(self, other) >= 0
         o = _coerce(other)
         return NotImplemented if o is None else _diff_sign(self, o) >= 0
 
@@ -212,13 +240,19 @@ class Surd(ExactReal):
     canonical form is unique across the two types.  ``_squarefree=True``
     is for results inside an existing field: the caller guarantees a
     square-free d > 1 and r != 0, and only the decomposition of d is
-    skipped.
+    skipped.  ``_reduced=True`` goes further: the caller guarantees the
+    canonical form itself (q != 0, r > 0, gcd(p, q, r) == 1), and nothing
+    is checked.
     """
 
     __slots__ = ("p", "q", "d", "r")
 
     def __new__(cls, p: int, q: int, d: int, r: int = 1, *,
-                _squarefree=False):
+                _squarefree=False, _reduced=False):
+        if _reduced:
+            self = object.__new__(cls)
+            self.p, self.q, self.d, self.r = p, q, d, r
+            return self
         if _squarefree:
             if q == 0:
                 return Rational(p, r)
@@ -389,6 +423,43 @@ def _recip(u):
     return Surd(u.r * u.p, -u.r * u.q, u.d, norm, _squarefree=True)
 
 
+# Arithmetic with a plain int n.  Moving the numerator by a multiple of the
+# denominator cannot create a common factor, so u + n is already reduced;
+# u*n cancels n against the denominator only, so it is reduced too.
+
+def _shift(u, n: int, s: int = 1):
+    """s*u + n for s = 1 or -1."""
+    if isinstance(u, Rational):
+        return Rational(s * u.num + n * u.den, u.den, _normalize=False)
+    return Surd(s * u.p + n * u.r, s * u.q, u.d, u.r, _reduced=True)
+
+
+def _scale(u, n: int):
+    """u*n."""
+    if isinstance(u, Rational):
+        g = gcd(n, u.den)
+        return Rational(u.num * (n // g), u.den // g, _normalize=False)
+    if n == 0:
+        return Rational(0, 1, _normalize=False)
+    g = gcd(n, u.r)
+    return Surd(u.p * (n // g), u.q * (n // g), u.d, u.r // g, _reduced=True)
+
+
+def _int_over(n: int, u):
+    """n/u, without building 1/u first."""
+    if isinstance(u, Rational):
+        if u.num == 0:
+            raise ZeroDivisionError("division by exact zero")
+        g = gcd(n, u.num)
+        if u.num < 0:
+            g = -g  # the sign moves to the numerator
+        return Rational(u.den * (n // g), u.num // g, _normalize=False)
+    # n r (p - q sqrt d)/(p^2 - q^2 d), as in _recip
+    k = n * u.r
+    return Surd(k * u.p, -k * u.q, u.d, u.p * u.p - u.q * u.q * u.d,
+                _squarefree=True)
+
+
 def _root_sign(p: int, q: int, d: int) -> int:
     """Sign of p + q*sqrt(d) for integers p, q and a square-free d > 1."""
     if q == 0:
@@ -399,10 +470,12 @@ def _root_sign(p: int, q: int, d: int) -> int:
     return (1 if p > 0 else -1) if p * p > q * q * d else (1 if q > 0 else -1)
 
 
-def _sign(u) -> int:
+def _shift_sign(u, n: int) -> int:
+    """Sign of u - n for an integer n (r > 0, so it is that of r*(u - n))."""
     if isinstance(u, Rational):
-        return (u.num > 0) - (u.num < 0)
-    return _root_sign(u.p, u.q, u.d)  # r > 0
+        t = u.num - n * u.den
+        return (t > 0) - (t < 0)
+    return _root_sign(u.p - n * u.r, u.q, u.d)
 
 
 def _diff_sign(u, v) -> int:
@@ -450,10 +523,24 @@ def floor_exact(v) -> int:
     return (v.p + root_floor) // v.r
 
 
+def floor_times(n: int, v) -> int:
+    """floor(n*v) for an integer n, building no value: one integer square
+    root for a surd, none for a rational."""
+    v = _coerce(v)
+    if isinstance(v, Rational):
+        return n * v.num // v.den
+    if n == 0:
+        return 0
+    nq = n * v.q
+    # floor((A + y)/r) == floor((A + floor(y))/r) for integers A and r > 0
+    s = isqrt(nq * nq * v.d)
+    return (n * v.p + (s if nq > 0 else -s - 1)) // v.r
+
+
 def frac_part(v) -> ExactReal:
     """v - floor(v), exactly; the value lies in [0, 1)."""
     v = _coerce(v)
-    return _add(v, Rational(-floor_exact(v)))
+    return _shift(v, -floor_exact(v))
 
 
 def is_zero(v) -> bool:

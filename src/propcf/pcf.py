@@ -133,9 +133,9 @@ def pcf_step(x: ExactReal, numerator: int) -> tuple[int, ExactReal]:
     if not isinstance(numerator, int) or numerator < 1:
         raise ValueError(f"numerator must be a positive integer, got {numerator!r}")
     x = _coerce(x)
-    if not (Rational(0) < x < Rational(1)):
+    if not (0 < x < 1):
         raise ValueError("pcf_step needs 0 < x < 1")
-    ratio = Rational(numerator) / x
+    ratio = numerator / x
     b = floor_exact(ratio)
     return b, ratio - b
 

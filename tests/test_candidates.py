@@ -235,6 +235,30 @@ def test_even_criterion_matches_brute_force():
                 assert by_search.verify(x, p, q_even)
 
 
+def test_even_criterion_matches_brute_force_on_rationals():
+    # On a rational x the two fractional parts can sum to exactly 1, as at
+    # x = 2/5, p = 1 (1/2 + 1/2): that is no carry, and no witness exists.
+    x = Rational(2, 5)
+    assert realizable_as_q2(x, 1) is None
+    assert realizable_as_q2_oracle(x, 1) is None
+    pairs = 0
+    for s in range(2, 30):
+        for t in range(1, s):
+            if math.gcd(t, s) != 1:
+                continue
+            x = Rational(t, s)
+            for p in range(1, 41):
+                by_criterion = realizable_as_q2(x, p)
+                by_search = realizable_as_q2_oracle(x, p)
+                assert (by_criterion is None) == (by_search is None), (x, p)
+                if by_criterion is not None:
+                    q_even = candidate_q_for_p(x, p)[1]
+                    assert by_criterion.verify(x, p, q_even)
+                    assert by_search.verify(x, p, q_even)
+                pairs += 1
+    assert pairs == 10_760
+
+
 def test_oracle_bound_semantics():
     # truncated and empty-handed: absence is unproven
     with pytest.raises(BoundTooSmall):

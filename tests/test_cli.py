@@ -372,14 +372,19 @@ def test_env_overrides_with_flag_precedence():
 
 
 def test_config_validation(capsys):
-    for argv, message in ((("growth", "--n", "0", "--x", "1/3"), "--n"),
-                          (("simulate", "--n", "0"), "--n"),
-                          (("classify", "golden", "--p", "1..3",
-                            "--bound", "0"), "--bound")):
+    for argv, flag, least in (
+            (("growth", "--n", "0", "--x", "1/3"), "--n", 1),
+            (("simulate", "--n", "0"), "--n", 1),
+            (("classify", "golden", "--p", "1..3", "--bound", "0"),
+             "--bound", 1),
+            (("yofx", "--family", "engel", "--grid", "1", "--depth", "3"),
+             "--grid", 2),
+            (("yofx", "--family", "engel", "--grid", "5", "--depth", "0"),
+             "--depth", 1)):
         code = cli.main(list(argv))
         captured = capsys.readouterr()
         assert code == cli.EXIT_PARSE and captured.out == ""
-        assert captured.err == f"error: {message} must be at least 1\n"
+        assert captured.err == f"error: {flag} must be at least {least}\n"
     code, _ = run_main(capsys, "growth", "--n", "10", "--x", "1/3",
                        "--seed", "-1")
     assert code == cli.EXIT_PARSE

@@ -23,6 +23,8 @@ from propcf.exactreal import (
     GOLDEN,
     Rational,
     Surd,
+    floor_exact,
+    floor_times,
     frac_part,
     parse_exact,
     to_text,
@@ -196,6 +198,55 @@ def test_surd_order_and_text_match_slow_difference(d, left, right):
     assert (v < u) == (sign > 0)
     for value in (u, v, u + v, u * v):
         assert parse_exact(to_text(value)) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RADICANDS), _root_forms(), st.just(0) | _signed(200))
+def test_surd_with_int_operand_matches_textbook_formulas(d, form, k):
+    # the int-operand paths build no Rational for k; a q of 0 makes u a
+    # Rational, which takes the same paths
+    u, (p, q, r) = _field_value(d, *form)
+    for value in (u + k, k + u):
+        _assert_surd_matches(value, p + k * r, q, d, r)
+    _assert_surd_matches(u - k, p - k * r, q, d, r)
+    _assert_surd_matches(k - u, k * r - p, -q, d, r)
+    for value in (u * k, k * u):
+        _assert_surd_matches(value, p * k, q * k, d, r)
+    norm = p * p - q * q * d  # 0 only for u == 0
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError):
+            k / u
+    else:
+        _assert_surd_matches(k / u, k * r * p, -k * r * q, d, norm)
+    # the floor m brackets u: u - m >= 0 > u - (m + 1), signs taken slowly
+    m = u.floor()
+    assert _sign_of_root_form(p - m * r, q, d) >= 0
+    assert _sign_of_root_form(p - (m + 1) * r, q, d) < 0
+    _assert_surd_matches(u.frac(), p - m * r, q, d, r)
+    sign = _sign_of_root_form(p - k * r, q, d)  # of r * (u - k)
+    assert (u < k, u <= k, u == k, u >= k, u > k) == (
+        sign < 0, sign <= 0, sign == 0, sign >= 0, sign > 0)
+
+
+def _multipliers():
+    """Zero, small and 1000-bit integers of either sign."""
+    big = st.integers(1 << 999, (1 << 1000) - 1)
+    return st.just(0) | _signed(8) | big | big.map(operator.neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((5, 2, 7, 13)), _root_forms(), _fractions(200),
+       _multipliers())
+def test_floor_times_matches_floor_of_product(d, form, f, n):
+    # the fields of the four benchmark values, those values and their
+    # reciprocals, and rationals; the product goes through the general
+    # Rational-times-value path
+    values = [_field_value(d, *form)[0], _rational(f)]
+    for spec in _FIELD_SPECS:
+        x = parse_exact(spec)
+        values += [x, 1 / x]
+    for v in values:
+        assert floor_times(n, v) == floor_exact(Rational(n) * v)
 
 
 def _divisors_of(n: int) -> list[int]:
