@@ -10,10 +10,13 @@ to decide a row), 4 internal invariant violation.
 
 Every request takes one path: argparse, then ``_config_from`` (range
 checks and the common flags), then one ``cmd_*`` that returns the document
-and its tables with every cell already text, then ``_emit``.  The common
-flags --seed, --format and --out can also be set through the environment
-(PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag wins over the
-environment.
+and its tables with every cell already text, then ``_emit``.  JSON text
+comes from ``_json_text`` alone, byte-identical to ``json.dumps(doc,
+indent=2, sort_keys=True)``: a top-level table of string cells is written
+from one template per table instead of through the pure-Python encoder
+that ``indent`` selects.  The common flags --seed, --format and --out can
+also be set through the environment (PROPCF_SEED, PROPCF_FORMAT,
+PROPCF_OUT); an explicit flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .exactreal import (
@@ -182,6 +187,72 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _table_parts(rows) -> list[str] | None:
+    """The pieces of ``rows`` as ``_dumps`` lays them out one level deep,
+    or None unless ``rows`` is a non-empty list of dicts that all have the
+    first row's string keys and only ``str`` cells.
+
+    One list holds every piece: for each row, a lead (comma, newline,
+    indent, key) before each cell, then the row's closing brace.  Each
+    column is filled by one slice assignment, so no per-row string is
+    built and the per-cell loop runs in C.
+    """
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
+        return None
+    first = rows[0]
+    count, width = len(rows), len(first)
+    if (not first or not all(type(key) is str for key in first)
+            or set(map(len, rows)) != {width}):
+        return None
+    stride = 2 * width + 1
+    parts = [""] * (count * stride)
+    lead = "{\n      "
+    for column, key in enumerate(sorted(first)):
+        parts[2 * column::stride] = [lead + encode_basestring_ascii(key)
+                                     + ": "] * count
+        try:
+            # a missing key or a non-str cell leaves the table to _dumps
+            parts[2 * column + 1::stride] = map(
+                encode_basestring_ascii, map(itemgetter(key), rows))
+        except (KeyError, TypeError):
+            return None
+        lead = ",\n      "
+    parts[stride - 1::stride] = ["\n    },\n    "] * count
+    parts[0] = "[\n    " + parts[0]
+    parts[-1] = "\n    }\n  ]"
+    return parts
+
+
+def _json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, without the
+    pure-Python encoder that ``indent`` selects for the output tables.
+
+    A top-level table goes through ``_table_parts``; every other value is
+    dumped on its own and indented one level, which is safe because JSON
+    text holds no raw newline inside a string.
+    """
+    if (type(doc) is not dict or not doc
+            or not all(type(key) is str for key in doc)):
+        return _dumps(doc)
+    parts = []
+    lead = "{\n  "
+    for key in sorted(doc):
+        parts.append(lead + encode_basestring_ascii(key) + ": ")
+        value = doc[key]
+        table = _table_parts(value)
+        if table is None:
+            parts.append(_dumps(value).replace("\n", "\n  "))
+        else:
+            parts += table
+        lead = ",\n  "
+    parts.append("\n}")
+    return "".join(parts)
+
+
 def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
           args) -> None:
     """Write the JSON document, or the CSV tables, to stdout or --out.
@@ -192,7 +263,7 @@ def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
     """
     out = args.out
     if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
         if out is None:
             sys.stdout.write(text)
         else:
@@ -391,12 +462,13 @@ def cmd_rational(args):
     if not isinstance(value, Rational):
         raise UsageError("rational enumeration needs a rational value")
     expansions = enumerate_rational_expansions(value, length=args.len)
-    lengths = sorted({len(e) for e in expansions})
+    sizes = [len(e.quotients) for e in expansions]
+    lengths = sorted(set(sizes))
     rows = [{
         "index": str(i),
-        "length": str(len(e)),
+        "length": str(size),
         "pairs": _pairs_text(e.quotients),
-    } for i, e in enumerate(expansions[:args.limit])]
+    } for i, (e, size) in enumerate(zip(expansions[:args.limit], sizes))]
     doc = {
         "value": to_text(value),
         "count": len(expansions),

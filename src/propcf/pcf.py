@@ -216,7 +216,7 @@ class ConvergentSeq:
 def _pairs_text(quotients) -> str:
     """Digit pairs as "a1/b1 a2/b2 ...", the text of a witness or an
     expansion in an output table."""
-    return " ".join(f"{q.a}/{q.b}" for q in quotients)
+    return " ".join([f"{q.a}/{q.b}" for q in quotients])
 
 
 def convergents(expansion: PCFExpansion) -> ConvergentSeq:

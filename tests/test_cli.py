@@ -324,6 +324,18 @@ _PINNED_OUTPUT = (
     pytest.param(("yofx", "--family", "engel", "--grid", "8", "--depth", "5"),
                  "714f87b9a004f58b1df7106ec8ad580dc75c1a2d797a1d3a4d56bca4259f89bb",
                  id="yofx-engel"),
+    # two tables in one document (digests and frequencies)
+    pytest.param(("simulate", "--n", "60", "--orbits", "3", "--seed", "5"),
+                 "023834f4188baf115240fb26b7a46c8741e7221a50cb198f8a415628bc6c220b",
+                 id="simulate-json"),
+    # no table at all
+    pytest.param(("growth", "--n", "100", "--seed", "2"),
+                 "62b757bd4b085e5607797bbdae52ccf6abdac005915018f6e67c307053b49962",
+                 id="growth-json"),
+    # an empty table: "rows": []
+    pytest.param(("rational", "5/6", "--len", "40"),
+                 "664bde1beef9deaeeb74a9fb435116eebdefcdabd769feb9e494b78caf73825d",
+                 id="rational-empty-json"),
 )
 
 
@@ -423,3 +435,13 @@ def test_out_files(tmp_path, capsys):
                        "--out", str(doc_path))
     assert code == 0
     assert json.loads(doc_path.read_text())["schema"] == 1
+
+
+def test_out_json_matches_stdout(tmp_path, capsys):
+    argv = ("simulate", "--n", "40", "--orbits", "2", "--seed", "3")
+    code, printed = run_main(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "doc.json"
+    code, out = run_main(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode()

@@ -3,8 +3,9 @@ arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
 constructor, exact orbits against a plain-``Fraction`` step loop, the
 joint step against its inverse branches, the unchecked enumeration tree
-against ``expand`` and ``reconstruct``, and the ``expand`` command's rows
-against ``ConvergentSeq``."""
+against ``expand`` and ``reconstruct``, the ``expand`` command's rows
+against ``ConvergentSeq``, and the CLI's JSON writer against
+``json.dumps``."""
 from __future__ import annotations
 
 import contextlib
@@ -386,3 +387,70 @@ def test_expand_rows_match_convergent_reference(spec, numerators):
             "n": str(n), "a": str(a), "b": str(expansion.digits()[n - 1]),
             "p": str(p), "q": str(q), "reduced": to_text(Rational(p, q)),
             "det_residual": "0", "margin": to_text(x - abs(q * x - p))}
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# non-ASCII text, quotes, backslashes, control characters and "" included
+_JSON_TEXT = st.text(max_size=12) | st.sampled_from(
+    ("", '"', "\\", "\n\t\x00\x1f\x7f", "π/√5 ∞", "\U0001d11e", 'a"b\\c'))
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats() | _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _tables(draw, min_rows=1):
+    """A list of rows with one key set (one column or many, non-ASCII
+    keys included) and ``str`` cells, some of them empty."""
+    keys = draw(st.lists(_JSON_TEXT, min_size=1, max_size=6, unique=True))
+    return draw(st.lists(st.fixed_dictionaries(
+        {key: _JSON_TEXT for key in keys}), min_size=min_rows, max_size=6))
+
+
+@st.composite
+def _broken_tables(draw):
+    """Lists ``_json_text`` must hand to json.dumps: empty, ragged (a row
+    with an extra key or without one) or holding an int, bool or None
+    cell."""
+    kind = draw(st.sampled_from(("empty", "extra", "missing", "cell")))
+    if kind == "empty":
+        return []
+    rows = draw(_tables(min_rows=2))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    keys = sorted(row)
+    if kind == "extra":
+        row[draw(_JSON_TEXT.filter(lambda key: key not in row))] = "x"
+    elif kind == "missing":
+        del row[draw(st.sampled_from(keys))]
+    else:
+        row[draw(st.sampled_from(keys))] = draw(
+            st.integers() | st.booleans() | st.none())
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES | st.dictionaries(
+    _JSON_TEXT, _JSON_VALUES | _tables() | _broken_tables(), max_size=6))
+def test_json_text_matches_json_dumps(doc):
+    assert cli._json_text(doc) == _dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), _broken_tables())
+def test_json_text_writes_tables_and_leaves_the_rest_to_json(table, broken):
+    # a table takes the template path; a broken one falls back, not raises
+    assert cli._table_parts(table) is not None
+    assert cli._table_parts(broken) is None
+    doc = {"rows": table, "broken": broken, "n": 3}
+    assert cli._json_text(doc) == _dumps(doc)
