@@ -30,6 +30,7 @@ from .pcf import (
     ConvergentSeq,
     PCFExpansion,
     PartialQuotient,
+    _digit,
     _pairs_text,
     convergents,
     pcf_step,
@@ -74,15 +75,21 @@ class RealizationWitness:
 
     def verify(self, x, p: int, q: int) -> bool:
         """Digits reproduce from x and the pair at ``index`` is (p, q)."""
-        rem = _exact(x)
-        for quot in self.quotients:
-            b, rem = pcf_step(rem, quot.a)
-            if b != quot.b:
-                return False
-        return self.convergent_pair() == (p, q)
+        return (_remainders(x, self.quotients) is not None
+                and self.convergent_pair() == (p, q))
 
-    def to_json(self) -> dict:
-        return {"pairs": [[q.a, q.b] for q in self.quotients], "index": self.index}
+
+def _remainders(x, quotients) -> list[ExactReal] | None:
+    """x_0..x_N along the digit pairs, each step checked by ``pcf_step``,
+    or None as soon as a digit does not expand from x."""
+    rem = _exact(x)
+    out = [rem]
+    for quot in quotients:
+        b, rem = pcf_step(rem, quot.a)
+        if b != quot.b:
+            return None
+        out.append(rem)
+    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -138,7 +145,7 @@ def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     floor(p/x) on the odd side and floor(p/x)+1 on the even side."""
     if p < 1:
         raise ValueError("need p >= 1")
-    base = floor_times(p, 1 / _exact(x))
+    base = floor_times(p, _unit_reciprocal(_exact(x)))
     return base, base + 1
 
 
@@ -185,8 +192,7 @@ def fractional_part_characterization(x, q: int):
     """
     x = _exact(x)
     inv = 1 / x
-    base = floor_times(q, x)
-    f = q * x - base
+    base, f, _ = _split_qx(x, q)
     even_frac = bool(f < x)
     even_floor = base >= 1 and floor_times(base, inv) + 1 == q
     odd_frac = bool(f > 1 - x)
@@ -362,13 +368,10 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     q = floor_times(p, inv) + 1
     truncated = False
     for a1 in _divisors(p):
-        b1 = floor_times(a1, inv)
-        b2 = p // a1
-        if b2 < 1:
-            continue
-        x1 = a1 * inv - b1
+        b1, x1 = _digit(x, a1)
         if is_zero(x1):
             continue  # terminated: no second digit exists on this branch
+        b2 = p // a1
         inv1 = 1 / x1
         hi = b2 if bound is None else min(b2, bound)
         if hi < b2:
@@ -496,18 +499,6 @@ def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
 # index push-down and its inverse search
 
 
-def _remainders(x, expansion: PCFExpansion) -> list[ExactReal]:
-    """x_0..x_N for an expansion that must belong to x."""
-    rem = _exact(x)
-    out = [rem]
-    for quot in expansion.quotients:
-        b, rem = pcf_step(rem, quot.a)
-        if b != quot.b:
-            raise ValueError("expansion does not belong to this x")
-        out.append(rem)
-    return out
-
-
 def push_down_index(x, expansion: PCFExpansion, k: int) -> PCFExpansion:
     """Merge digits k, k+1, k+2 into one digit at position k whose
     denominator q_k equals the old q_{k+2}.
@@ -520,7 +511,9 @@ def push_down_index(x, expansion: PCFExpansion, k: int) -> PCFExpansion:
         raise ValueError("k starts at 1")
     if len(expansion) < k + 2:
         raise ValueError(f"need at least {k + 2} digits, have {len(expansion)}")
-    rems = _remainders(x, expansion)
+    rems = _remainders(x, expansion.quotients)
+    if rems is None:
+        raise ValueError("expansion does not belong to this x")
     pk, pk1, pk2 = expansion.quotients[k - 1], expansion.quotients[k], expansion.quotients[k + 1]
     merge = pk1.b * pk2.b + pk2.a
     new_a = pk.a * merge

@@ -5,8 +5,9 @@ Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
 such as --n, --bound or --orbits below its least value, a reversed range,
-a value that cannot be evaluated exactly, or an oracle --bound too small
-to decide a row), 4 internal invariant violation.
+a value that cannot be evaluated exactly, a --bound given without
+--oracle, or an oracle --bound too small to decide a row), 4 internal
+invariant violation.
 
 Every request takes one path: argparse, then ``_config_from`` (range
 checks and the common flags), then one ``cmd_*`` that returns the document
@@ -329,6 +330,8 @@ def cmd_expand(args):
 def cmd_classify(args):
     if (args.p is None) == (args.q is None):
         raise UsageError("give exactly one of --p or --q")
+    if args.bound is not None and not args.oracle:
+        raise UsageError("--bound applies only with --oracle")
     x = parse_x_spec(args.x)
     x_text = to_text(x)
     if args.p is not None:

@@ -24,7 +24,9 @@ numerator, so the result is reduced as built; ``u * n`` cancels n against
 the denominator alone; ``n / u`` multiplies n into the conjugate without
 building 1/u; comparisons with n read one integer sign.  ``floor_times(n,
 v)`` gives floor(n*v) from one integer square root (none for a rational)
-and builds no value at all.
+and builds no value at all.  These int kernels are the only ones for
+their operations: negation is ``_scale(u, -1)`` and every reciprocal is
+``_int_over(1, u)``.
 """
 from __future__ import annotations
 
@@ -109,13 +111,13 @@ class ExactReal:
         if type(other) is int:
             return _shift(self, -other)
         o = _coerce(other)
-        return NotImplemented if o is None else _add(self, _neg(o))
+        return NotImplemented if o is None else _add(self, _scale(o, -1))
 
     def __rsub__(self, other):
         if type(other) is int:
             return _shift(self, other, -1)
         o = _coerce(other)
-        return NotImplemented if o is None else _add(o, _neg(self))
+        return NotImplemented if o is None else _add(o, _scale(self, -1))
 
     def __mul__(self, other):
         if type(other) is int:
@@ -127,28 +129,28 @@ class ExactReal:
 
     def __truediv__(self, other):
         o = _coerce(other)
-        return NotImplemented if o is None else _mul(self, _recip(o))
+        return NotImplemented if o is None else _mul(self, _int_over(1, o))
 
     def __rtruediv__(self, other):
         if type(other) is int:
             return _int_over(other, self)
         o = _coerce(other)
-        return NotImplemented if o is None else _mul(o, _recip(self))
+        return NotImplemented if o is None else _mul(o, _int_over(1, self))
 
     def __neg__(self):
-        return _neg(self)
+        return _scale(self, -1)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return _neg(self) if _shift_sign(self, 0) < 0 else self
+        return _scale(self, -1) if _shift_sign(self, 0) < 0 else self
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return _recip(self ** (-n))
+            return _int_over(1, self ** (-n))
         out, base, e = Rational(1), self, n
         while e:
             if e & 1:
@@ -207,9 +209,6 @@ class Rational(ExactReal):
         g = gcd(num, den)
         self.num = num // g
         self.den = den // g
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __repr__(self):
         return f"Rational({self.num}, {self.den})"
@@ -277,9 +276,6 @@ class Surd(ExactReal):
         self.p, self.q, self.d, self.r = p // g, q // g, d, r // g
         return self
 
-    def conjugate(self) -> ExactReal:
-        return Surd(self.p, -self.q, self.d, self.r, _squarefree=True)
-
     def __repr__(self):
         return f"Surd({self.p}, {self.q}, {self.d}, {self.r})"
 
@@ -311,7 +307,7 @@ class Surd(ExactReal):
 def sqrt_exact(n) -> ExactReal:
     """Exact square root of a non-negative int, Fraction or Rational."""
     if isinstance(n, Rational):
-        n = n.as_fraction()
+        n = Fraction(n.num, n.den)
     if isinstance(n, int):
         n = Fraction(n)
     if n < 0:
@@ -404,25 +400,6 @@ def _mul(u, v):
                 u.r * v.r, _squarefree=True)
 
 
-def _neg(u):
-    if isinstance(u, Rational):
-        return Rational(-u.num, u.den, _normalize=False)
-    return Surd(-u.p, -u.q, u.d, u.r, _squarefree=True)
-
-
-def _recip(u):
-    if isinstance(u, Rational):
-        if u.num == 0:
-            raise ZeroDivisionError("division by exact zero")
-        if u.num < 0:
-            return Rational(-u.den, -u.num, _normalize=False)
-        return Rational(u.den, u.num, _normalize=False)
-    # 1/((p + q sqrt d)/r) = r(p - q sqrt d)/(p^2 - q^2 d); the norm is not
-    # 0, because sqrt(d) is irrational
-    norm = u.p * u.p - u.q * u.q * u.d
-    return Surd(u.r * u.p, -u.r * u.q, u.d, norm, _squarefree=True)
-
-
 # Arithmetic with a plain int n.  Moving the numerator by a multiple of the
 # denominator cannot create a common factor, so u + n is already reduced;
 # u*n cancels n against the denominator only, so it is reduced too.
@@ -454,7 +431,8 @@ def _int_over(n: int, u):
         if u.num < 0:
             g = -g  # the sign moves to the numerator
         return Rational(u.den * (n // g), u.num // g, _normalize=False)
-    # n r (p - q sqrt d)/(p^2 - q^2 d), as in _recip
+    # n r (p - q sqrt d)/(p^2 - q^2 d); the norm p^2 - q^2 d is not 0,
+    # because sqrt(d) is irrational
     k = n * u.r
     return Surd(k * u.p, -k * u.q, u.d, u.p * u.p - u.q * u.q * u.d,
                 _squarefree=True)

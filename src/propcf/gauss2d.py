@@ -2,7 +2,9 @@
 
 The two-coordinate map reads a numerator digit a = floor(1/y) off the
 second coordinate and a denominator digit b = floor(a/x) off the first,
-then moves to (a/x - b, 1/y - a).  Each digit pair labels an open
+then moves to (a/x - b, 1/y - a).  It is two proper-continued-fraction
+steps (``pcf._digit``): the classical Gauss step, numerator 1, on y, and
+the step with numerator a on x.  Each digit pair labels an open
 rectangle (cylinder) of the square, and iterating the map expands x as a
 proper continued fraction whose numerators are the classical digits of y.
 Choosing y by formula instead gives the scalar families: y = golden mean
@@ -29,7 +31,7 @@ from .exactreal import (
     is_zero,
     sqrt_exact,
 )
-from .pcf import ConvergentSeq, pcf_step
+from .pcf import ConvergentSeq, _digit, pcf_step
 
 
 class ZeroCoordinate(ArithmeticError):
@@ -97,11 +99,9 @@ def _step(x, y) -> tuple[int, int, ExactReal, ExactReal]:
     if x_dead or y_dead:
         raise ZeroCoordinate("both" if x_dead and y_dead else
                              "x" if x_dead else "y")
-    inv_y = 1 / y
-    a = floor_exact(inv_y)
-    ratio = a / x
-    b = floor_exact(ratio)
-    return a, b, ratio - b, inv_y - a
+    a, y = _digit(y, 1)
+    b, x = _digit(x, a)
+    return a, b, x, y
 
 
 def joint_step(state: JointState) -> tuple[JointState, CylinderAddress]:
@@ -319,11 +319,10 @@ def varnum_step(x) -> tuple[int, int, ExactReal]:
     if not (Rational(0) < x < Rational(1)):
         raise ValueError("varnum_step needs 0 < x < 1")
     a = floor_exact(1 / x)
-    ratio = a / x
-    b = floor_exact(ratio)
+    b, rem = _digit(x, a)
     if not (a <= b <= a * a + a - 1):
         raise ArithmeticError(f"digit bound broken: a={a}, b={b}")
-    return a, b, ratio - b
+    return a, b, rem
 
 
 def varnum_expand(x, depth: int) -> tuple[list[tuple[int, int]], ExactReal]:

@@ -8,11 +8,16 @@ with integer numerators a_i >= 1 chosen freely step by step and digits
 b_i = floor(a_i / x_{i-1}) >= a_i forced by the remainders
 x_i = a_i/x_{i-1} - b_i.  Remainders stay in [0,1); hitting 0 terminates
 the expansion (rationals always terminate, whatever the numerators).
+
+That step has one body, ``_digit(x, a)``; ``pcf_step`` checks its input
+and calls it, and the joint map of ``gauss2d`` and the brute-force
+search of ``candidates`` call it directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .exactreal import (
@@ -135,7 +140,14 @@ def pcf_step(x: ExactReal, numerator: int) -> tuple[int, ExactReal]:
     x = _coerce(x)
     if not (0 < x < 1):
         raise ValueError("pcf_step needs 0 < x < 1")
-    ratio = numerator / x
+    return _digit(x, numerator)
+
+
+def _digit(x: ExactReal, a: int) -> tuple[int, ExactReal]:
+    """The step itself, unchecked: digit floor(a/x) and remainder
+    a/x - floor(a/x).  The caller guarantees an exact x in (0, 1] and an
+    int a >= 1; with a = 1 this is the classical Gauss step."""
+    ratio = a / x
     b = floor_exact(ratio)
     return b, ratio - b
 
@@ -310,18 +322,6 @@ def longest_chain(n: int) -> PCFExpansion:
 # the 1-x digit rewrite
 
 
-def _extend_with_unit_steps(expansion: PCFExpansion, want: int) -> PCFExpansion:
-    """Grow a too-short expansion by numerator-1 steps on its tail."""
-    quotients = list(expansion.quotients)
-    tail = expansion.tail
-    while len(quotients) < want:
-        if is_zero(tail):
-            break
-        b, tail = pcf_step(tail, 1)
-        quotients.append(PartialQuotient(1, b))
-    return PCFExpansion(tuple(quotients), tail)
-
-
 def one_minus_transform(expansion: PCFExpansion) -> PCFExpansion:
     """Digit pairs of 1-x from the digit pairs of x, same tail behaviour.
 
@@ -342,21 +342,22 @@ def one_minus_transform(expansion: PCFExpansion) -> PCFExpansion:
         return PCFExpansion.from_pairs(pairs, expansion.tail)
 
     if b1 == a1:
-        work = _extend_with_unit_steps(expansion, 3)
-        quots = work.quotients
+        # a short expansion gets its missing digits from unit steps on the tail
+        more = expand(expansion.tail, repeat(1), max_len=3 - len(expansion))
+        quots = expansion.quotients + more.quotients
         if len(quots) == 1:  # x == a1/b1 == 1: outside the domain
             raise ValueError("expansion value must lie strictly inside (0,1)")
         a2, b2 = quots[1].a, quots[1].b
         head = (a2, b1 * b2 + a2)
         if len(quots) == 2:  # complete rational: single contracted digit
-            return PCFExpansion.from_pairs((head,), work.tail)
+            return PCFExpansion.from_pairs((head,), more.tail)
         a3, b3 = quots[2].a, quots[2].b
         if b3 < b1 * a3:
             raise ImproperDigits(
                 f"head contraction yields improper pair {b1 * a3}/{b3}; "
                 "it needs the second remainder of x to stay below 1/b1")
         pairs = (head, (b1 * a3, b3)) + tuple((q.a, q.b) for q in quots[3:])
-        return PCFExpansion.from_pairs(pairs, work.tail)
+        return PCFExpansion.from_pairs(pairs, more.tail)
 
     raise MiddleCaseError(
         f"first digit pair {a1}/{b1} has a1 < b1 < 2*a1; 1-x has no "

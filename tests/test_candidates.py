@@ -10,6 +10,7 @@ from propcf.candidates import (
     BoundTooSmall,
     CutoffVerdict,
     Parity,
+    RealizationWitness,
     approximation_margins,
     beatty,
     candidate_p_for_q,
@@ -40,7 +41,13 @@ from propcf.exactreal import (
     parse_exact,
     sqrt_exact,
 )
-from propcf.pcf import PCFExpansion, convergents, expand, reconstruct
+from propcf.pcf import (
+    PartialQuotient,
+    PCFExpansion,
+    convergents,
+    expand,
+    reconstruct,
+)
 
 
 def _random_surd_in_unit(rng, low=None):
@@ -270,7 +277,23 @@ def test_oracle_bound_semantics():
     assert realizable_as_q2_oracle(GOLDEN, 2) is None
 
 
-@pytest.mark.parametrize("search", [realizable_as_q2, realizable_as_q2_oracle])
+def test_witness_verify_rejects():
+    w = realizable_as_q2(GOLDEN, 3)
+    assert w.verify(GOLDEN, 3, 5)
+    # a wrong second digit: the pair it claims is its own convergent pair,
+    # so only the digit check can refuse it
+    wrong_b = RealizationWitness(
+        (PartialQuotient(1, 1), PartialQuotient(2, 4)), 2)
+    assert not wrong_b.verify(GOLDEN, *wrong_b.convergent_pair())
+    # digits that expand from x, but not to the pair asked about
+    for p, q in ((3, 4), (4, 5), (5, 8)):
+        assert not w.verify(GOLDEN, p, q)
+    # the golden witness checked against another x: 1/(sqrt2-1) has floor 2
+    assert not w.verify(sqrt_exact(2) - 1, 3, 5)
+
+
+@pytest.mark.parametrize("search", [realizable_as_q2, realizable_as_q2_oracle,
+                                    candidate_q_for_p])
 @pytest.mark.parametrize("x", [Rational(3, 2), Rational(0)])
 def test_realizability_rejects_x_outside_unit_interval(search, x):
     with pytest.raises(ValueError):

@@ -166,6 +166,16 @@ def test_classify_oracle_bound_too_small_exit_code(capsys):
         assert f"bound {bound};" in captured.err
 
 
+def test_classify_bound_needs_oracle(capsys):
+    # --bound caps the brute-force search alone; without --oracle it would
+    # be silently ignored, so it is bad input
+    for window in (("--p", "1..3"), ("--q", "2..6")):
+        code = cli.main(["classify", "golden", *window, "--bound", "5"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and captured.out == ""
+        assert captured.err == "error: --bound applies only with --oracle\n"
+
+
 # ---------------------------------------------------------------------------
 # rational
 
