@@ -108,15 +108,15 @@ def gauss_map(x, numerator: int = 1) -> ExactReal:
     """frac(numerator/x): the fixed-numerator expansion step on (0, 1]."""
     if not isinstance(numerator, int) or numerator < 1:
         raise ValueError("numerator must be a positive integer")
-    return frac_part(numerator * _unit_reciprocal(_exact(x)))
+    return _digit(_unit(_exact(x)), numerator)[1]
 
 
-def _unit_reciprocal(x: ExactReal) -> ExactReal:
-    """1/x for an exact x in (0, 1], the domain of every expansion step;
-    callers that divide many numerators by one x take it once."""
+def _unit(x: ExactReal) -> ExactReal:
+    """x itself, checked to lie in (0, 1], the domain of every expansion
+    step."""
     if not (0 < x) or x > 1:
         raise ValueError("expansion steps need 0 < x <= 1")
-    return 1 / x
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     floor(p/x) on the odd side and floor(p/x)+1 on the even side."""
     if p < 1:
         raise ValueError("need p >= 1")
-    base = floor_times(p, _unit_reciprocal(_exact(x)))
+    base = floor_times(p, 1 / _unit(_exact(x)))
     return base, base + 1
 
 
@@ -332,7 +332,7 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
-    inv = _unit_reciprocal(x)
+    inv = 1 / _unit(x)
     base = floor_times(p, inv)
     q = base + 1
     for a in _divisors(p):
@@ -364,7 +364,7 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     if p < 1:
         raise ValueError("need p >= 1")
     x = _exact(x)
-    inv = _unit_reciprocal(x)
+    inv = 1 / _unit(x)
     q = floor_times(p, inv) + 1
     truncated = False
     for a1 in _divisors(p):

@@ -24,9 +24,12 @@ numerator, so the result is reduced as built; ``u * n`` cancels n against
 the denominator alone; ``n / u`` multiplies n into the conjugate without
 building 1/u; comparisons with n read one integer sign.  ``floor_times(n,
 v)`` gives floor(n*v) from one integer square root (none for a rational)
-and builds no value at all.  These int kernels are the only ones for
-their operations: negation is ``_scale(u, -1)`` and every reciprocal is
-``_int_over(1, u)``.
+and builds no value at all.  ``_digit(u, n)`` gives floor(n/u) and
+n/u - floor(n/u) together, from one gcd and one divmod for a rational and
+one gcd and one integer square root for a surd; it is the body of the
+expansion step, which ``pcf`` re-exports.  These int kernels are the only
+ones for their operations: negation is ``_scale(u, -1)`` and every
+reciprocal is ``_int_over(1, u)``.
 """
 from __future__ import annotations
 
@@ -436,6 +439,35 @@ def _int_over(n: int, u):
     k = n * u.r
     return Surd(k * u.p, -k * u.q, u.d, u.p * u.p - u.q * u.q * u.d,
                 _squarefree=True)
+
+
+def _digit(u, n: int) -> tuple[int, ExactReal]:
+    """floor(n/u) and n/u - floor(n/u) together, for a nonzero int n and
+    a nonzero u: the digit and remainder of the expansion step, which
+    ``pcf`` re-exports.
+
+    n/u is built reduced, as ``_int_over`` builds it; moving its numerator
+    by a multiple of its denominator keeps it reduced, so the remainder
+    needs no second gcd."""
+    if isinstance(u, Rational):
+        if u.num == 0:
+            raise ZeroDivisionError("division by exact zero")
+        g = gcd(n, u.num)
+        if u.num < 0:
+            g = -g
+        den = u.num // g
+        b, r = divmod(u.den * (n // g), den)
+        return b, Rational(r, den, _normalize=False)
+    k = n * u.r
+    p, q, d, r = k * u.p, -k * u.q, u.d, u.p * u.p - u.q * u.q * u.d
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(r, p, q)
+    if g > 1:
+        p, q, r = p // g, q // g, r // g
+    s = isqrt(q * q * d)
+    b = (p + (s if q > 0 else -s - 1)) // r  # q*sqrt(d) is irrational
+    return b, Surd(p - b * r, q, d, r, _reduced=True)
 
 
 def _root_sign(p: int, q: int, d: int) -> int:

@@ -14,13 +14,19 @@ gives the constant-numerator greedy expansion.
 
 Orbits are exact whenever the seeds are exact; a float fallback exists
 for long ergodic-statistics runs where digit-level fidelity is not needed.
+Since y moves on its own, an orbit reads y's classical digits once, in
+one lazy walk: a rational y's run out, and a quadratic y's are cycled
+from their first repeated remainder on.  Only x takes a step per digit
+pair; ``_step``, both halves at once, serves single steps and cells.
 """
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 
 from .exactreal import (
     ExactReal,
@@ -173,16 +179,46 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
             raise ValueError(f"{name} must lie in (0, 1)")
     digits: list[tuple[int, int]] = []
     terminated_by = None
+    numerators = _classical_digits(y)
     for _ in range(n):
-        try:
-            a, b, x, y = _step(x, y)
-        except ZeroCoordinate as exc:
-            terminated_by = f"{exc.coordinate}_zero"
+        # the walk runs out exactly when y has reached zero
+        a = next(numerators, None)
+        x_dead, y_dead = is_zero(x), a is None
+        if x_dead or y_dead:
+            terminated_by = ("both_zero" if x_dead and y_dead else
+                             "x_zero" if x_dead else "y_zero")
             break
+        b, x = _digit(x, a)
         digits.append((a, b))
     cs = ConvergentSeq(digits)
-    samples = tuple((k, math.log(cs.q(k)) / k) for k in range(1, len(digits) + 1))
+    samples = tuple((k, math.log(q) / k)
+                    for k, q in enumerate(islice(cs._q, 2, None), start=1))
     return OrbitRecord(tuple(digits), cs, samples, n, terminated_by)
+
+
+def _classical_digits(y: ExactReal) -> Iterator[int]:
+    """y's classical digits, read once and lazily: the a-digits of every
+    orbit from y, whatever x is.
+
+    A rational y runs out at its zero remainder.  A surd's remainders are
+    eventually periodic (Lagrange), so its walk stops at the first one
+    that repeats and cycles the period from there.  Only surds are
+    remembered: a rational remainder never repeats, and hashing one would
+    build a Fraction.
+    """
+    if isinstance(y, Rational):
+        while not is_zero(y):
+            a, y = _digit(y, 1)
+            yield a
+        return
+    first: dict[Surd, int] = {}  # remainder -> index of the digit it gives
+    digits: list[int] = []
+    while y not in first:
+        first[y] = len(digits)
+        a, y = _digit(y, 1)
+        digits.append(a)
+        yield a
+    yield from cycle(digits[first[y]:])
 
 
 def float_orbit(x0: float, y0: float, n: int) -> OrbitRecord:
@@ -318,7 +354,7 @@ def varnum_step(x) -> tuple[int, int, ExactReal]:
     x = _exact(x)
     if not (Rational(0) < x < Rational(1)):
         raise ValueError("varnum_step needs 0 < x < 1")
-    a = floor_exact(1 / x)
+    a = _digit(x, 1)[0]
     b, rem = _digit(x, a)
     if not (a <= b <= a * a + a - 1):
         raise ArithmeticError(f"digit bound broken: a={a}, b={b}")

@@ -9,9 +9,11 @@ b_i = floor(a_i / x_{i-1}) >= a_i forced by the remainders
 x_i = a_i/x_{i-1} - b_i.  Remainders stay in [0,1); hitting 0 terminates
 the expansion (rationals always terminate, whatever the numerators).
 
-That step has one body, ``_digit(x, a)``; ``pcf_step`` checks its input
-and calls it, and the joint map of ``gauss2d`` and the brute-force
-search of ``candidates`` call it directly.
+That step has one body, the ``exactreal`` kernel ``_digit(x, a)``, which
+builds a/x reduced and splits it into floor and remainder at once; this
+module re-exports it.  ``pcf_step`` checks its input and calls it, and
+the joint map of ``gauss2d`` and the brute-force search of
+``candidates`` call it directly.
 """
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ from math import gcd
 from .exactreal import (
     ExactReal,
     Rational,
-    floor_exact,
     is_zero,
     parse_exact,
     to_text,
     _coerce,
+    _digit,
 )
 
 
@@ -141,15 +143,6 @@ def pcf_step(x: ExactReal, numerator: int) -> tuple[int, ExactReal]:
     if not (0 < x < 1):
         raise ValueError("pcf_step needs 0 < x < 1")
     return _digit(x, numerator)
-
-
-def _digit(x: ExactReal, a: int) -> tuple[int, ExactReal]:
-    """The step itself, unchecked: digit floor(a/x) and remainder
-    a/x - floor(a/x).  The caller guarantees an exact x in (0, 1] and an
-    int a >= 1; with a = 1 this is the classical Gauss step."""
-    ratio = a / x
-    b = floor_exact(ratio)
-    return b, ratio - b
 
 
 def expand(x, numerators, max_len: int | None = None) -> PCFExpansion:

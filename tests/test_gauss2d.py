@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from propcf.exactreal import GOLDEN, Rational, Surd, frac_part, sqrt_exact
+from propcf.exactreal import (
+    GOLDEN,
+    Rational,
+    Surd,
+    frac_part,
+    parse_exact,
+    sqrt_exact,
+)
 from propcf.gauss2d import (
     CylinderAddress,
     JointState,
@@ -34,7 +41,7 @@ from propcf.gauss2d import (
     y_of_x,
     y_value_from_digits,
 )
-from propcf.pcf import expand, pcf_step
+from propcf.pcf import PCFExpansion, expand, pcf_step, reconstruct
 
 LEVY = 3.27582
 PHI = (1 + math.sqrt(5)) / 2
@@ -209,18 +216,32 @@ def _step_chain(x, y, n):
 
 def test_orbit_matches_joint_step_chain():
     rng = random.Random(31)
-    seeds = [(Rational(1, 2), Rational(1, 2)), (GOLDEN, Rational(2, 7)),
-             (Rational(3, 5), GOLDEN)]
+    seeds = [(Rational(1, 2), Rational(1, 2), 30), (GOLDEN, Rational(2, 7), 30),
+             (Rational(3, 5), GOLDEN, 30)]
     for _ in range(40):
         pick = [_random_unit_rational_small, _random_surd_in_unit]
-        seeds.append((rng.choice(pick)(rng), rng.choice(pick)(rng)))
+        seeds.append((rng.choice(pick)(rng), rng.choice(pick)(rng), 30))
+    # quadratic y whose digits repeat with period 1 or 4 from the start,
+    # period 4 after two digits (5, 2), and period 6 after one, each run
+    # long enough to wrap its period several times
+    tail = parse_exact("(sqrt7-2)/3")
+    for y in (parse_exact("(sqrt13-3)/2"), tail, 1 / (5 + 1 / (2 + tail)),
+              parse_exact("sqrt6/7")):
+        seeds += [(_random_surd_in_unit(rng), y, 40),
+                  (random_unit_rational(rng, 200), y, 40)]
+    # a rational y whose last digit falls on x's last step
+    y = y_value_from_digits([2, 3, 1, 4])
+    x = reconstruct(PCFExpansion.from_pairs([(2, 5), (3, 3), (1, 7), (4, 9)]))
+    seeds.append((x, y, 30))
     reasons = set()
-    for x, y in seeds:
-        rec = orbit(x, y, 30)
-        digits, reason = _step_chain(x, y, 30)
+    for x, y, n in seeds:
+        rec = orbit(x, y, n)
+        digits, reason = _step_chain(x, y, n)
         assert list(rec.digits) == digits
         assert rec.terminated_by == reason
         reasons.add(reason)
+    # the last seed stops with both coordinates at zero after four steps
+    assert rec.terminated_by == "both_zero" and rec.steps == 4
     assert reasons == {None, "x_zero", "y_zero", "both_zero"}
 
 

@@ -1,7 +1,8 @@
 """Property tests of the fast paths against slow references: ``Rational``
 arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
-constructor, exact orbits against a plain-``Fraction`` step loop, the
+constructor, the fused expansion-step kernel against floor and
+subtraction, exact orbits against a plain-``Fraction`` step loop, the
 joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, and the CLI's JSON writer against
@@ -29,6 +30,7 @@ from propcf.exactreal import (
     frac_part,
     parse_exact,
     to_text,
+    _digit,
 )
 from propcf.gauss2d import JointState, ZeroCoordinate, joint_step, orbit
 from propcf.pcf import (
@@ -248,6 +250,36 @@ def test_floor_times_matches_floor_of_product(d, form, f, n):
         values += [x, 1 / x]
     for v in values:
         assert floor_times(n, v) == floor_exact(Rational(n) * v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fractions(), st.sampled_from((5, 2, 7, 13)) | st.integers(2, 10**6),
+       _root_forms(), _signed(4000))
+def test_digit_kernel_matches_floor_and_remainder(f, d, form, n):
+    # the fused kernel against the composition it replaces, on reduced
+    # rationals of up to 4000 bits, the four benchmark values, and surds
+    # of their fields and of random radicands; n runs up to 4000 bits
+    p, q, r = form
+    values = [_rational(f), Surd(p, q, d, r)]
+    values += [parse_exact(spec) for spec in _FIELD_SPECS]
+    for u in values:
+        if u == 0:
+            with pytest.raises(ZeroDivisionError):
+                _digit(u, n)
+            continue
+        ratio = n / u
+        b = floor_exact(ratio)
+        expected = ratio - b
+        digit, rem = _digit(u, n)
+        assert digit == b
+        assert type(rem) is type(expected) and repr(rem) == repr(expected)
+        # and the remainder is in canonical form, checked slowly
+        if isinstance(u, Rational):
+            _assert_matches(rem, Fraction(n * u.den, u.num) - b)
+        else:
+            norm = u.p * u.p - u.q * u.q * u.d
+            _assert_surd_matches(rem, n * u.r * u.p - b * norm,
+                                 -n * u.r * u.q, u.d, norm)
 
 
 def _divisors_of(n: int) -> list[int]:
