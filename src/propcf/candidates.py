@@ -20,7 +20,9 @@ from functools import lru_cache
 from .exactreal import (
     ExactReal,
     Rational,
+    _at_least,
     _exact,
+    _unit,
     floor_exact,
     floor_times,
     frac_part,
@@ -82,7 +84,7 @@ class RealizationWitness:
 def _remainders(x, quotients) -> list[ExactReal] | None:
     """x_0..x_N along the digit pairs, each step checked by ``pcf_step``,
     or None as soon as a digit does not expand from x."""
-    rem = _exact(x)
+    rem = _unit(x)
     out = [rem]
     for quot in quotients:
         b, rem = pcf_step(rem, quot.a)
@@ -105,18 +107,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def gauss_map(x, numerator: int = 1) -> ExactReal:
-    """frac(numerator/x): the fixed-numerator expansion step on (0, 1]."""
-    if not isinstance(numerator, int) or numerator < 1:
-        raise ValueError("numerator must be a positive integer")
-    return _digit(_unit(_exact(x)), numerator)[1]
-
-
-def _unit(x: ExactReal) -> ExactReal:
-    """x itself, checked to lie in (0, 1], the domain of every expansion
-    step."""
-    if not (0 < x) or x > 1:
-        raise ValueError("expansion steps need 0 < x <= 1")
-    return x
+    """frac(numerator/x): the fixed-numerator expansion step on (0, 1)."""
+    return _digit(_unit(x), _at_least("numerator", numerator, 1))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +120,9 @@ def is_candidate(x, p: int, q: int) -> CandidatePair | None:
 
     A pair hitting x exactly (qx == p) belongs to neither side.
     """
-    if p < 1 or q < 1:
-        raise ValueError("need p >= 1 and q >= 1")
-    x = _exact(x)
+    _at_least("p", p, 1)
+    _at_least("q", q, 1)
+    x = _unit(x)
     diff = q * x - p
     if not (abs(diff) < x):
         return None
@@ -143,9 +135,7 @@ def is_candidate(x, p: int, q: int) -> CandidatePair | None:
 def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     """The only possible denominators for numerator p:
     floor(p/x) on the odd side and floor(p/x)+1 on the even side."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    base = floor_times(p, 1 / _unit(_exact(x)))
+    base = floor_times(_at_least("p", p, 1), 1 / _unit(x))
     return base, base + 1
 
 
@@ -164,9 +154,8 @@ def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
     p_even = floor(qx) works iff 0 < frac(qx) < x; p_odd = floor(qx)+1
     works iff frac(qx) > 1-x.  A missing side is None.
     """
-    if q < 1:
-        raise ValueError("need q >= 1")
-    x = _exact(x)
+    _at_least("q", q, 1)
+    x = _unit(x)
     base, f, even = _split_qx(x, q)
     p_even = base if even else None
     p_odd = base + 1 if f > 1 - x else None
@@ -176,7 +165,7 @@ def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
 def approximation_margins(x, expansion: PCFExpansion) -> list[ExactReal]:
     """x - |q_n x - p_n| for each prefix length n >= 1 (positive for any
     expansion of x, at every index)."""
-    x = _exact(x)
+    x = _unit(x)
     cv = convergents(expansion)
     out = []
     for n in range(1, len(expansion) + 1):
@@ -190,7 +179,8 @@ def fractional_part_characterization(x, q: int):
     even side: frac(qx) < x         iff  floor(floor(qx)/x) + 1 == q
     odd side:  frac(qx) > 1 - x     iff  floor((floor(qx)+1)/x) == q
     """
-    x = _exact(x)
+    _at_least("q", q, 1)
+    x = _unit(x)
     inv = 1 / x
     base, f, _ = _split_qx(x, q)
     even_frac = bool(f < x)
@@ -243,9 +233,7 @@ def rayleigh_partition_check(x, n_max: int) -> RayleighReport:
     True for every irrational x in (0,1): the two rates r = 1/x and
     s = 1/(1-x) satisfy 1/r + 1/s = 1.
     """
-    x = _exact(x)
-    if not (Rational(0) < x < Rational(1)):
-        raise ValueError("need 0 < x < 1")
+    x = _unit(x)
     seen_low = _beatty_upto(1 / x, n_max)
     seen_high = _beatty_upto(1 / (1 - x), n_max)
     overlap = seen_low & seen_high
@@ -286,7 +274,7 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
     landing segment has length x*frac(p/x): p + x - qx on the even side,
     p - qx on the odd side.
     """
-    x = _exact(x)
+    x = _unit(x)
     cand = is_candidate(x, p, q)
     if cand is None:
         raise ValueError(f"({p}, {q}) is not a candidate pair for this x")
@@ -309,11 +297,9 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
 
 
 def realize_odd(x, p: int) -> RealizationWitness:
-    """The one-step witness for the odd candidate (p, floor(p/x))."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    x = _exact(x)
-    b1 = floor_times(p, 1 / x)
+    """The one-step witness for the odd candidate (p, floor(p/x)); the
+    step checks x and p."""
+    b1 = pcf_step(x, p)[0]
     witness = RealizationWitness((PartialQuotient(p, b1),), 1)
     if not witness.verify(x, p, b1):
         raise InvariantViolation(f"odd witness failed for p={p}")
@@ -329,10 +315,9 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     exactly when floor((p+a)/x) exceeds floor(p/x) + floor(a/x), and to
     exactly 1 when, besides, (p+a)/x is a whole number (floor equals
     ceiling), which only a rational x allows."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    x = _exact(x)
-    inv = 1 / _unit(x)
+    _at_least("p", p, 1)
+    x = _unit(x)
+    inv = 1 / x
     base = floor_times(p, inv)
     q = base + 1
     for a in _divisors(p):
@@ -361,11 +346,9 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     against the digit rule.  Raises BoundTooSmall when a truncated range
     found nothing (absence unproven).
     """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    x = _exact(x)
-    inv = 1 / _unit(x)
-    q = floor_times(p, inv) + 1
+    _at_least("p", p, 1)
+    x = _unit(x)
+    q = floor_times(p, 1 / x) + 1
     truncated = False
     for a1 in _divisors(p):
         b1, x1 = _digit(x, a1)
@@ -395,14 +378,13 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
 
     frac(qx) below max(x/2, x*frac(1/x)) guarantees a witness (the divisor
     criterion fires with a = p or a = 1); above it nothing is implied.
+    The cached threshold checks x, once per distinct x.
     """
-    if q < 1:
-        raise ValueError("need q >= 1")
-    x = _exact(x)
-    _, f, even = _split_qx(x, q)
+    threshold = _cutoff_threshold(x)
+    _, f, even = _split_qx(x, _at_least("q", q, 1))
     if not even:
         return CutoffVerdict.NOT_EVEN_CANDIDATE
-    if f < _cutoff_threshold(x):
+    if f < threshold:
         return CutoffVerdict.GUARANTEED_REALIZABLE
     return CutoffVerdict.UNDETERMINED
 
@@ -411,6 +393,7 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
 def _cutoff_threshold(x: ExactReal) -> ExactReal:
     """max(x/2, x*frac(1/x)); a sweep asks for it once per row, so the
     value is kept for the few x a run uses."""
+    x = _unit(x)
     half = x / 2
     stretched = x * gauss_map(x, 1)
     return half if half > stretched else stretched
@@ -476,7 +459,7 @@ def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
     """Where in (0,1) do realizable even candidates sit, measured by
     u = frac(qx)/x?  Data for the open region above the guaranteed cutoff;
     nothing is asserted here."""
-    x = _exact(x)
+    x = _unit(x)
     threshold = _cutoff_threshold(x) / x
     edges = [Rational(i, bins) for i in range(bins + 1)]
     counts = [[0, 0] for _ in range(bins)]
@@ -507,8 +490,7 @@ def push_down_index(x, expansion: PCFExpansion, k: int) -> PCFExpansion:
     D = b_{k+1}*b_{k+2} + a_{k+2}, and the new tail after position k is
     a_{k+1}*a_{k+2}*x_{k+2} / (D + b_{k+1}*x_{k+2}).
     """
-    if k < 1:
-        raise ValueError("k starts at 1")
+    _at_least("k", k, 1)
     if len(expansion) < k + 2:
         raise ValueError(f"need at least {k + 2} digits, have {len(expansion)}")
     rems = _remainders(x, expansion.quotients)
@@ -544,8 +526,8 @@ def lift_index_search(a_prime: int, b_prime: int, x_prime,
     ``bound`` optionally caps D, and a capped run is flagged truncated
     (solutions beyond the cap may exist).
     """
-    if a_prime < 1 or b_prime < a_prime:
-        raise ValueError("need a proper digit pair a' <= b'")
+    _at_least("a_prime", a_prime, 1)
+    _at_least("b_prime", b_prime, a_prime)
     x_prime = _exact(x_prime)
     if x_prime < 0 or x_prime >= 1:
         raise ValueError("tail must lie in [0, 1)")
@@ -614,11 +596,10 @@ def sharpness_witness(n: int, epsilon) -> tuple[PCFExpansion, SharpnessReport]:
     (1 + p_{i-1}/p_i)^n below 1 + epsilon, and a_n additionally exceeds
     1/epsilon - 1.
     """
-    eps = _exact(epsilon)
-    if not isinstance(eps, Rational) or not (Rational(0) < eps < Rational(1)):
-        raise ValueError("epsilon must be a rational in (0, 1)")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    eps = _unit(epsilon, "epsilon")
+    if not isinstance(eps, Rational):
+        raise ValueError("epsilon must be rational")
+    _at_least("n", n, 1)
     target = Rational(1) + eps
     min_tail_a = floor_exact(Rational(1) / eps - 1) + 1
 

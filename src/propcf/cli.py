@@ -38,6 +38,8 @@ from pathlib import Path
 
 from .exactreal import (
     Rational,
+    _at_least,
+    _unit,
     parse_exact,
     to_text,
 )
@@ -106,10 +108,7 @@ def _env_or(flag_value, variable: str, fallback, convert):
 def parse_x_spec(text: str):
     """An exact value from "p/q", a decimal literal, "(sqrt5-1)/2" style
     surds, or the alias "golden"; must lie strictly between 0 and 1."""
-    value = parse_exact(text)
-    if not (Rational(0) < value < Rational(1)):
-        raise UsageError(f"{text!r} does not lie strictly between 0 and 1")
-    return value
+    return _unit(parse_exact(text), repr(text))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -121,8 +120,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         high = int(hi) if sep else low
     except ValueError:
         raise UsageError(f"bad range {text!r}: use N or LO..HI") from None
-    if low < 1:
-        raise UsageError("range must start at 1 or above")
+    _at_least("range start", low, 1)
     if high < low:
         raise UsageError(f"bad range {text!r}: the end lies below the start")
     return low, high
@@ -144,8 +142,7 @@ def _numerator_pairs(x, spec: str, length: int | None):
             n = int(spec[4:])
         except ValueError:
             raise UsageError(f"bad numerator spec {spec!r}") from None
-        if n < 1:
-            raise UsageError("constant numerator must be at least 1")
+        _at_least("constant numerator", n, 1)
         return expand(x, repeat(n), max_len=want)
     if spec.startswith("rcf-of:"):
         y = parse_x_spec(spec[len("rcf-of:"):])
@@ -157,8 +154,8 @@ def _numerator_pairs(x, spec: str, length: int | None):
         raise UsageError(
             f"bad numerator spec {spec!r}: expected a comma-separated list, "
             "all:N, rcf-of:SPEC, varnum, or engel") from None
-    if not literal or any(a < 1 for a in literal):
-        raise UsageError("numerators must be positive integers")
+    for a in literal:
+        _at_least("numerator", a, 1)
     return expand(x, literal, max_len=length)
 
 
@@ -337,7 +334,7 @@ def cmd_classify(args):
     if args.p is not None:
         low, high = _parse_range(args.p)
         # the sweep starts at p = 1: starting it at low would change what
-        # the classify benchmark measures (ROADMAP.md, item 4)
+        # the classify benchmark measures (ROADMAP.md, item 6)
         rows = [_text_row(row) for row in sweep_rows(
             x, x_text, high, bound=args.bound, oracle=args.oracle)
             if row["p"] >= low]
@@ -574,8 +571,8 @@ def _config_from(args) -> None:
     in place: the flag, else its PROPCF_* variable, else the default."""
     for flag, dest, least in _COUNT_FLAGS:
         value = getattr(args, dest, None)
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}")
+        if value is not None:
+            _at_least(flag, value, least)
     args.seed = _env_or(args.seed, "PROPCF_SEED", 0, int)
     if not 0 <= args.seed < 1 << 64:
         raise UsageError("seed must fit in 64 bits")

@@ -30,10 +30,18 @@ one gcd and one integer square root for a surd; it is the body of the
 expansion step, which ``pcf`` re-exports.  These int kernels are the only
 ones for their operations: negation is ``_scale(u, -1)`` and every
 reciprocal is ``_int_over(1, u)``.
+
+Input checks have one body each, here, and every module calls them:
+``_exact(v)`` is the only exact-type check (a TypeError), ``_unit(v,
+name)`` the only check that a value lies strictly between 0 and 1, and
+``_at_least(name, value, least)`` the only check of an integer argument
+(both a ValueError).  The public floors, ``frac_part`` and ``is_zero``
+check their argument through ``_exact``.
 """
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -50,7 +58,7 @@ class ParseError(ValueError):
 
 
 _MAX_RADICAND = 10**18
-_SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
@@ -62,9 +70,6 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
-    hit = _SQUAREFREE_CACHE.get(n)
-    if hit is not None:
-        return hit
     if n > _MAX_RADICAND:
         raise ValueError(f"radicand {n} is above the supported ceiling 10**18")
     root, core, m, f = 1, 1, n, 2
@@ -84,7 +89,6 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
         root *= s
     else:
         core *= m
-    _SQUAREFREE_CACHE[n] = (root, core)
     return root, core
 
 
@@ -220,7 +224,15 @@ class Rational(ExactReal):
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     def __hash__(self):
-        return hash(Fraction(self.num, self.den))
+        # hash(Fraction(num, den)) without building one: Python hashes a
+        # rational as num/den modulo a prime, and as infinity when den is
+        # a multiple of it
+        try:
+            h = hash(hash(abs(self.num)) * pow(self.den, -1, _HASH_MODULUS))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if self.num >= 0 else -h
+        return -2 if h == -1 else h
 
     def __eq__(self, other):
         o = _coerce(other)
@@ -332,7 +344,7 @@ def _coerce(v):
     if isinstance(v, ExactReal):
         return v
     if isinstance(v, int):
-        return Rational(v, 1, _normalize=False)
+        return Rational(int(v), 1, _normalize=False)  # a bool as 0 or 1
     if isinstance(v, Fraction):
         return Rational(v.numerator, v.denominator)
     return None
@@ -345,6 +357,25 @@ def _exact(v) -> ExactReal:
     if out is None:
         raise TypeError(f"expected an exact value, got {type(v).__name__}")
     return out
+
+
+def _unit(v, name: str = "x") -> ExactReal:
+    """v as an exact value, checked to lie strictly between 0 and 1, the
+    domain of x and of every expansion step: a nonzero value of floor 0."""
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
+    if is_zero(v) or floor_exact(v) != 0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
+    return v
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """value, checked to be an int (not a bool) of at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +556,8 @@ def _diff_sign(u, v) -> int:
 
 def floor_exact(v) -> int:
     """Exact floor, from one integer square root for a surd."""
-    v = _coerce(v)
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
     if isinstance(v, Rational):
         return v.num // v.den
     s = isqrt(v.q * v.q * v.d)
@@ -536,7 +568,8 @@ def floor_exact(v) -> int:
 def floor_times(n: int, v) -> int:
     """floor(n*v) for an integer n, building no value: one integer square
     root for a surd, none for a rational."""
-    v = _coerce(v)
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
     if isinstance(v, Rational):
         return n * v.num // v.den
     if n == 0:
@@ -549,12 +582,14 @@ def floor_times(n: int, v) -> int:
 
 def frac_part(v) -> ExactReal:
     """v - floor(v), exactly; the value lies in [0, 1)."""
-    v = _coerce(v)
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
     return _shift(v, -floor_exact(v))
 
 
 def is_zero(v) -> bool:
-    v = _coerce(v)
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
     return isinstance(v, Rational) and v.num == 0
 
 

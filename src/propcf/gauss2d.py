@@ -32,7 +32,9 @@ from .exactreal import (
     ExactReal,
     Rational,
     Surd,
+    _at_least,
     _exact,
+    _unit,
     floor_exact,
     is_zero,
     sqrt_exact,
@@ -72,8 +74,7 @@ class JointState:
             v = getattr(self, name)
             if not (0 <= v and v <= 1):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.step < 0:
-            raise ValueError("step count cannot be negative")
+        _at_least("step", self.step, 0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class CylinderAddress:
     b: int
 
     def __post_init__(self):
-        if not (1 <= self.a <= self.b):
-            raise ValueError("cylinder needs b >= a >= 1")
+        _at_least("a", self.a, 1)
+        _at_least("b", self.b, self.a)
 
     @property
     def area(self) -> Fraction:
@@ -171,12 +172,8 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
     finite); that ends the record early with the reason noted, never an
     exception.
     """
-    if n < 0:
-        raise ValueError("orbit length cannot be negative")
-    x, y = _exact(x0), _exact(y0)
-    for name, v in (("x0", x), ("y0", y)):
-        if not (Rational(0) < v < Rational(1)):
-            raise ValueError(f"{name} must lie in (0, 1)")
+    _at_least("n", n, 0)
+    x, y = _unit(x0, "x0"), _unit(y0, "y0")
     digits: list[tuple[int, int]] = []
     terminated_by = None
     numerators = _classical_digits(y)
@@ -230,8 +227,7 @@ def float_orbit(x0: float, y0: float, n: int) -> OrbitRecord:
     r_k = b_k + a_k/r_{k-1}, so no big integers are built and the record
     carries no convergents.
     """
-    if n < 0:
-        raise ValueError("orbit length cannot be negative")
+    _at_least("n", n, 0)
     x, y = float(x0), float(y0)
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise ValueError("seeds must lie in (0, 1)")
@@ -316,8 +312,8 @@ def eigenvalues_of_digit_matrix(a: int, b: int) -> tuple[ExactReal, ExactReal]:
     Their product is -a and their sum is b; the larger one drives the
     growth of denominators through repeated digit (a, b).
     """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
+    _at_least("a", a, 1)
+    _at_least("b", b, 1)
     root = sqrt_exact(b * b + 4 * a)
     return (root + b) / 2, (b - root) / 2
 
@@ -351,9 +347,7 @@ def varnum_step(x) -> tuple[int, int, ExactReal]:
 
     The digit is then pinned to a <= b <= a^2 + a - 1.
     """
-    x = _exact(x)
-    if not (Rational(0) < x < Rational(1)):
-        raise ValueError("varnum_step needs 0 < x < 1")
+    x = _unit(x)
     a = _digit(x, 1)[0]
     b, rem = _digit(x, a)
     if not (a <= b <= a * a + a - 1):
@@ -375,9 +369,7 @@ def varnum_expand(x, depth: int) -> tuple[list[tuple[int, int]], ExactReal]:
 def engel_step(x) -> tuple[int, ExactReal]:
     """One step of the scalar chained-digit map: digit floor(1/x), new
     state 1/(digit*x) - 1.  Digits never decrease along an orbit."""
-    x = _exact(x)
-    if not (Rational(0) < x < Rational(1)):
-        raise ValueError("engel_step needs 0 < x < 1")
+    x = _unit(x)
     b = floor_exact(1 / x)
     return b, 1 / (b * x) - 1
 
@@ -412,8 +404,7 @@ def engel_pairs(x, depth: int) -> tuple[list[tuple[int, int]], ExactReal]:
 def greedy_y(n: int) -> Surd:
     """The y whose classical digits are all n: the positive root of
     y = 1/(n + y)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _at_least("n", n, 1)
     return Surd(-n, 1, n * n + 4, 2)
 
 
@@ -431,15 +422,12 @@ def y_of_x(x, family: str, depth: int, n: int | None = None) -> list[int]:
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    x = _exact(x)
-    if not (Rational(0) < x < Rational(1)):
-        raise ValueError("x must lie in (0, 1)")
+    _at_least("depth", depth, 1)
+    x = _unit(x)
     if family == "greedy":
-        if n is None or n < 1:
+        if n is None:
             raise ValueError("greedy family needs the numerator n >= 1")
-        return [n] * depth
+        return [_at_least("n", n, 1)] * depth
     if family == "varnum":
         pairs, _ = varnum_expand(x, depth)
         return [a for a, _ in pairs]
@@ -457,14 +445,12 @@ def y_value_from_digits(digits, guard: int | None = None) -> Rational:
     must survive re-expansion (a bare trailing 1 would otherwise fold
     into the digit before it).
     """
-    tail = list(digits) + ([guard] if guard is not None else [])
-    if guard is not None and guard < 2:
-        raise ValueError("a guard digit below 2 can collapse")
+    tail = list(digits)
+    if guard is not None:
+        tail.append(_at_least("guard", guard, 2))
     v = Rational(0)
     for d in reversed(tail):
-        if d < 1:
-            raise ValueError("classical digits are >= 1")
-        v = 1 / (d + v)
+        v = 1 / (_at_least("digit", d, 1) + v)
     return v
 
 
@@ -480,8 +466,7 @@ def emit_y_scatter(family: str, grid: int, depth: int,
     residual |y(x) - (1/y(1/(1+x)) - 1)| with both sides cut at the same
     point (an exact fraction; 0 whenever both expansions completed).
     """
-    if grid < 2:
-        raise ValueError("need grid >= 2")
+    _at_least("grid", grid, 2)
     rows = []
     for i in range(1, grid + 1):
         x = Rational(i, grid + 1)
@@ -512,8 +497,7 @@ def bits_for_orbit_length(n: int) -> int:
     """Denominator size (bits) that keeps a random rational seed alive for
     n joint steps: each step spends about 1.7123 bits of the seed, plus
     generous headroom."""
-    if n < 0:
-        raise ValueError("orbit length cannot be negative")
+    _at_least("n", n, 0)
     return math.ceil(1.7123 * n) + 1024
 
 
@@ -521,8 +505,7 @@ def random_unit_rational(rng: random.Random, bits: int) -> Rational:
     """A uniform random rational in (0, 1) drawn as num/den with den of
     exactly bits+1 bits (top bit forced); reduction to lowest terms may
     shave a few bits off the stored denominator."""
-    if bits < 1:
-        raise ValueError("need bits >= 1")
+    _at_least("bits", bits, 1)
     den = (1 << bits) | rng.getrandbits(bits)
     num = rng.randrange(1, den)
     return Rational(num, den)
@@ -530,8 +513,7 @@ def random_unit_rational(rng: random.Random, bits: int) -> Rational:
 
 def leading_cylinders(count: int) -> list[tuple[int, int]]:
     """The ``count`` largest-area cylinder addresses, ties broken by (a, b)."""
-    if count < 1:
-        raise ValueError("need count >= 1")
+    _at_least("count", count, 1)
     cells = []
     for a in range(1, count + 2):
         for b in range(a, a + count + 2):
@@ -548,8 +530,7 @@ def cylinder_area_monte_carlo(samples: int, seed: int,
     table is reproducible bit for bit.  Each row carries the exact area,
     the empirical frequency and the relative error.
     """
-    if samples < 1:
-        raise ValueError("need samples >= 1")
+    _at_least("samples", samples, 1)
     if pairs is None:
         pairs = leading_cylinders(9)
     import numpy as np

@@ -28,8 +28,10 @@ from .exactreal import (
     is_zero,
     parse_exact,
     to_text,
-    _coerce,
+    _at_least,
     _digit,
+    _exact,
+    _unit,
 )
 
 
@@ -90,9 +92,7 @@ class PCFExpansion:
         object.__setattr__(self, "quotients", tuple(
             q if isinstance(q, PartialQuotient) else PartialQuotient(*q)
             for q in self.quotients))
-        t = _coerce(self.tail)
-        if t is None:
-            raise TypeError("tail must be an exact value")
+        t = _exact(self.tail)
         object.__setattr__(self, "tail", t)
         if t < 0 or t >= 1:
             raise ValueError("tail must lie in [0, 1)")
@@ -137,12 +137,7 @@ def pcf_step(x: ExactReal, numerator: int) -> tuple[int, ExactReal]:
 
     Requires 0 < x < 1 (the remainder domain) and numerator >= 1.
     """
-    if not isinstance(numerator, int) or numerator < 1:
-        raise ValueError(f"numerator must be a positive integer, got {numerator!r}")
-    x = _coerce(x)
-    if not (0 < x < 1):
-        raise ValueError("pcf_step needs 0 < x < 1")
-    return _digit(x, numerator)
+    return _digit(_unit(x), _at_least("numerator", numerator, 1))
 
 
 def expand(x, numerators, max_len: int | None = None) -> PCFExpansion:
@@ -157,9 +152,7 @@ def expand(x, numerators, max_len: int | None = None) -> PCFExpansion:
     max_len, whichever comes first; the remainder at the stop becomes the
     tail.
     """
-    x = _coerce(x)
-    if x is None:
-        raise TypeError("x must be an exact value")
+    x = _exact(x)
     quotients: list[PartialQuotient] = []
     for a in numerators:
         if max_len is not None and len(quotients) >= max_len:
@@ -248,10 +241,8 @@ def rational_images(t0: int, s0: int) -> dict[Fraction, int]:
     fractions k/t0 for 0 <= k < t0, and they recur cyclically in N with
     period t0.
     """
-    if not (isinstance(t0, int) and isinstance(s0, int)):
-        raise TypeError("t0, s0 must be integers")
-    if not 0 < t0 < s0:
-        raise ValueError("need 0 < t0 < s0")
+    _at_least("t0", t0, 1)
+    _at_least("s0", s0, t0 + 1)
     if gcd(t0, s0) != 1:
         raise NotCoprime(f"{t0}/{s0} is not in lowest terms")
     inv = pow(s0, -1, t0)
@@ -270,13 +261,10 @@ def enumerate_rational_expansions(value, length: int | None = None) -> list[PCFE
     (larger choices repeat the same images), so the tree is finite and the
     longest branch has exactly t0 digits.
     """
-    v = _coerce(value)
-    if isinstance(v, Rational):
-        t0, s0 = v.num, v.den
-    else:
+    v = _unit(value, "value")
+    if not isinstance(v, Rational):
         raise TypeError("enumeration works on rationals")
-    if not 0 < t0 < s0:
-        raise ValueError("need a value strictly between 0 and 1")
+    t0, s0 = v.num, v.den
     results: list[PCFExpansion] = []
     prefix: list[PartialQuotient] = []
     # digit = floor(numerator*s/t) >= numerator, because t < s, and every
@@ -305,8 +293,7 @@ def enumerate_rational_expansions(value, length: int | None = None) -> list[PCFE
 def longest_chain(n: int) -> PCFExpansion:
     """The maximal-length expansion of (n-1)/n: digits
     (n-2)/(n-2), (n-3)/(n-3), ..., 1/1, 1/2 -- n-1 of them."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _at_least("n", n, 2)
     pairs = [(k, k) for k in range(n - 2, 0, -1)] + [(1, 2)]
     return PCFExpansion.from_pairs(pairs)
 

@@ -41,11 +41,13 @@ from propcf.exactreal import (
     parse_exact,
     sqrt_exact,
 )
+from propcf.gauss2d import orbit
 from propcf.pcf import (
     PartialQuotient,
     PCFExpansion,
     convergents,
     expand,
+    pcf_step,
     reconstruct,
 )
 
@@ -292,12 +294,48 @@ def test_witness_verify_rejects():
     assert not w.verify(sqrt_exact(2) - 1, 3, 5)
 
 
-@pytest.mark.parametrize("search", [realizable_as_q2, realizable_as_q2_oracle,
-                                    candidate_q_for_p])
-@pytest.mark.parametrize("x", [Rational(3, 2), Rational(0)])
+# every function of x and one count, with x checked by exactreal._unit
+_X_SEARCHES = [realizable_as_q2, realizable_as_q2_oracle, candidate_q_for_p,
+               realize_odd, candidate_p_for_q, q2_cutoff_check,
+               fractional_part_characterization, gauss_map, pcf_step,
+               rayleigh_partition_check, cutoff_margin_survey]
+
+
+@pytest.mark.parametrize("search", _X_SEARCHES)
+@pytest.mark.parametrize("x", [Rational(3, 2), Rational(0), Rational(1)])
 def test_realizability_rejects_x_outside_unit_interval(search, x):
     with pytest.raises(ValueError):
         search(x, 6)
+
+
+@pytest.mark.parametrize("search", _X_SEARCHES)
+def test_realizability_rejects_float_x(search):
+    with pytest.raises(TypeError):
+        search(0.5, 6)
+
+
+# (call with the count argument, its least value): a float, a bool and an
+# int below the least value are all refused by exactreal._at_least
+_COUNT_CALLS = {
+    "realize_odd": (lambda p: realize_odd(GOLDEN, p), 1),
+    "realizable_as_q2": (lambda p: realizable_as_q2(GOLDEN, p), 1),
+    "realizable_as_q2_oracle": (
+        lambda p: realizable_as_q2_oracle(GOLDEN, p), 1),
+    "candidate_q_for_p": (lambda p: candidate_q_for_p(GOLDEN, p), 1),
+    "is_candidate": (lambda p: is_candidate(GOLDEN, p, 3), 1),
+    "orbit": (lambda n: orbit(GOLDEN, GOLDEN, n), 0),
+    "pcf_step": (lambda a: pcf_step(Rational(1, 2), a), 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_count_arguments_must_be_ints_at_least_their_least(name, kind):
+    call, least = _COUNT_CALLS[name]
+    bad = {"float": float(least + 1), "bool": True, "below": least - 1}[kind]
+    with pytest.raises(ValueError,
+                       match=r" must be (an integer, got|at least) "):
+        call(bad)
 
 
 def test_cutoff_golden_frozen():

@@ -18,7 +18,9 @@ from propcf.exactreal import (
     _MAX_RADICAND,
     _squarefree_decompose,
     floor_exact,
+    floor_times,
     frac_part,
+    is_zero,
     parse_exact,
     sqrt_exact,
     to_text,
@@ -117,6 +119,15 @@ def test_floor_small_cases():
     assert floor_exact(Surd(1, 1, 5, 2)) == 1     # (1+sqrt5)/2
     assert floor_exact(Rational(-7, 2)) == -4
     assert floor_exact(Rational(6, 3)) == 2
+
+
+def test_floors_reject_inexact_values():
+    # floats never mix in, also through the public floors
+    for call in (lambda: floor_exact(0.5), lambda: floor_times(2, 0.5),
+                 lambda: frac_part(0.5), lambda: is_zero(0.0)):
+        with pytest.raises(TypeError):
+            call()
+    assert floor_times(3, Fraction(1, 2)) == 1 and is_zero(0)
 
 
 def test_floor_frac_recombine_randomized():

@@ -1,6 +1,7 @@
 """Every module the package imports is either in the standard library,
-part of propcf, or a runtime dependency declared in pyproject.toml, and
-the CLI starts without importing numpy."""
+part of propcf, or a runtime dependency declared in pyproject.toml, the
+CLI starts without importing numpy, and the input checks live in
+exactreal alone."""
 
 import ast
 import os
@@ -56,3 +57,22 @@ def test_cli_import_leaves_numpy_unloaded():
          "import sys, propcf.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_input_checks_live_in_exactreal_alone():
+    # exactreal's _exact, _unit and _at_least are the only input checks,
+    # and only exactreal itself sees the unchecked _coerce
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exactreal.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "_coerce" for alias in node.names):
+                stray.append(f"{path.name}:{node.lineno} imports _coerce")
+            elif isinstance(node, ast.Attribute) and node.attr == "_coerce":
+                stray.append(f"{path.name}:{node.lineno} reads _coerce")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in ("_exact", "_unit", "_at_least"):
+                stray.append(f"{path.name}:{node.lineno} defines {node.name}")
+    assert stray == []

@@ -352,6 +352,8 @@ def test_json_round_trip():
     assert expansion_from_json(doc) == e
     e2 = expand(Rational(5, 6), [4, 3, 2, 1, 1])
     assert expansion_from_json(expansion_to_json(e2)) == e2
+    e3 = PCFExpansion((), False)  # a bool tail is its int value
+    assert expansion_from_json(expansion_to_json(e3)) == e3
 
 
 def test_json_rejects_unknown_schema():
