@@ -27,9 +27,12 @@ v)`` gives floor(n*v) from one integer square root (none for a rational)
 and builds no value at all.  ``_digit(u, n)`` gives floor(n/u) and
 n/u - floor(n/u) together, from one gcd and one divmod for a rational and
 one gcd and one integer square root for a surd; it is the body of the
-expansion step, which ``pcf`` re-exports.  These int kernels are the only
-ones for their operations: negation is ``_scale(u, -1)`` and every
-reciprocal is ``_int_over(1, u)``.
+expansion step, which ``pcf`` re-exports.  Its rational branch is
+``_qdigit(num, den, n)``, the same step on bare ints: it returns the digit
+and the remainder's (num, den) and builds no object, so exact orbits walk
+a rational coordinate without a ``Rational`` per step.  These int kernels
+are the only ones for their operations: negation is ``_scale(u, -1)`` and
+every reciprocal is ``_int_over(1, u)``.
 
 Input checks have one body each, here, and every module calls them:
 ``_exact(v)`` is the only exact-type check (a TypeError), ``_unit(v,
@@ -472,23 +475,31 @@ def _int_over(n: int, u):
                 _squarefree=True)
 
 
+def _qdigit(num: int, den: int, n: int) -> tuple[int, int, int]:
+    """The expansion step on a bare rational u = num/den (reduced, den > 0,
+    num != 0): floor(n/u) and the reduced numerator and denominator of
+    n/u - floor(n/u), from one gcd and one divmod, building no object.
+
+    n/u = n*den/num is built reduced, as ``_int_over`` builds it; moving
+    its numerator by a multiple of its denominator keeps it reduced, so the
+    remainder needs no second gcd."""
+    g = gcd(n, num)
+    if num < 0:
+        g = -g  # the sign moves to the numerator
+    r_den = num // g
+    b, r_num = divmod(den * (n // g), r_den)
+    return b, r_num, r_den
+
+
 def _digit(u, n: int) -> tuple[int, ExactReal]:
     """floor(n/u) and n/u - floor(n/u) together, for a nonzero int n and
     a nonzero u: the digit and remainder of the expansion step, which
-    ``pcf`` re-exports.
-
-    n/u is built reduced, as ``_int_over`` builds it; moving its numerator
-    by a multiple of its denominator keeps it reduced, so the remainder
-    needs no second gcd."""
+    ``pcf`` re-exports.  A rational u steps through ``_qdigit``."""
     if isinstance(u, Rational):
         if u.num == 0:
             raise ZeroDivisionError("division by exact zero")
-        g = gcd(n, u.num)
-        if u.num < 0:
-            g = -g
-        den = u.num // g
-        b, r = divmod(u.den * (n // g), den)
-        return b, Rational(r, den, _normalize=False)
+        b, r_num, r_den = _qdigit(u.num, u.den, n)
+        return b, Rational(r_num, r_den, _normalize=False)
     k = n * u.r
     p, q, d, r = k * u.p, -k * u.q, u.d, u.p * u.p - u.q * u.q * u.d
     if r < 0:

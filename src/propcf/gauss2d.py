@@ -18,6 +18,12 @@ Since y moves on its own, an orbit reads y's classical digits once, in
 one lazy walk: a rational y's run out, and a quadratic y's are cycled
 from their first repeated remainder on.  Only x takes a step per digit
 pair; ``_step``, both halves at once, serves single steps and cells.
+A rational coordinate of an orbit is walked as two bare ints through
+``exactreal._qdigit``, the kernel of ``_digit``'s rational branch, so no
+``Rational`` is built per step; a surd x steps through ``_digit``, since a
+surd never reaches zero.  The growth samples come from the orbit's
+convergent denominators alone: ``ConvergentSeq`` builds its numerators
+only when they are read.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .exactreal import (
     Surd,
     _at_least,
     _exact,
+    _qdigit,
     _unit,
     floor_exact,
     is_zero,
@@ -176,17 +183,25 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
     x, y = _unit(x0, "x0"), _unit(y0, "y0")
     digits: list[tuple[int, int]] = []
     terminated_by = None
-    numerators = _classical_digits(y)
-    for _ in range(n):
-        # the walk runs out exactly when y has reached zero
-        a = next(numerators, None)
-        x_dead, y_dead = is_zero(x), a is None
-        if x_dead or y_dead:
-            terminated_by = ("both_zero" if x_dead and y_dead else
-                             "x_zero" if x_dead else "y_zero")
-            break
-        b, x = _digit(x, a)
-        digits.append((a, b))
+    # the walk runs out exactly when y has reached zero
+    numerators = islice(_classical_digits(y), n)
+    if isinstance(x, Rational):
+        # x walks as two bare ints through the step's kernel
+        num, den = x.num, x.den
+        for a in numerators:
+            if not num:
+                terminated_by = "x_zero"
+                break
+            b, num, den = _qdigit(num, den, a)
+            digits.append((a, b))
+        x_zero = not num
+    else:
+        for a in numerators:  # a surd never reaches zero
+            b, x = _digit(x, a)
+            digits.append((a, b))
+        x_zero = False
+    if terminated_by is None and len(digits) < n:
+        terminated_by = "both_zero" if x_zero else "y_zero"
     cs = ConvergentSeq(digits)
     samples = tuple((k, math.log(q) / k)
                     for k, q in enumerate(islice(cs._q, 2, None), start=1))
@@ -197,15 +212,15 @@ def _classical_digits(y: ExactReal) -> Iterator[int]:
     """y's classical digits, read once and lazily: the a-digits of every
     orbit from y, whatever x is.
 
-    A rational y runs out at its zero remainder.  A surd's remainders are
-    eventually periodic (Lagrange), so its walk stops at the first one
-    that repeats and cycles the period from there.  Only surds are
-    remembered: a rational remainder never repeats, and hashing one would
-    build a Fraction.
+    A rational y is walked as two bare ints and runs out at its zero
+    remainder; its remainders never repeat, so none is remembered.  A
+    surd's remainders are eventually periodic (Lagrange), so its walk
+    stops at the first one that repeats and cycles the period from there.
     """
     if isinstance(y, Rational):
-        while not is_zero(y):
-            a, y = _digit(y, 1)
+        num, den = y.num, y.den
+        while num:
+            a, num, den = _qdigit(num, den, 1)
             yield a
         return
     first: dict[Surd, int] = {}  # remainder -> index of the digit it gives

@@ -13,7 +13,8 @@ That step has one body, the ``exactreal`` kernel ``_digit(x, a)``, which
 builds a/x reduced and splits it into floor and remainder at once; this
 module re-exports it.  ``pcf_step`` checks its input and calls it, and
 the joint map of ``gauss2d`` and the brute-force search of
-``candidates`` call it directly.
+``candidates`` call it directly (exact orbits call its bare-int rational
+branch, ``exactreal._qdigit``).
 """
 from __future__ import annotations
 
@@ -59,7 +60,8 @@ class PartialQuotient:
     b: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+        # ``type(...) is int`` turns bools away, as ``_at_least`` does
+        if not (type(self.a) is int and type(self.b) is int):
             raise TypeError("digit pair must be integers")
         if self.a < 1 or self.b < self.a:
             raise ImproperDigits(f"need b >= a >= 1, got {self.a}/{self.b}")
@@ -169,7 +171,9 @@ class ConvergentSeq:
 
     Seeded with p_{-1}=1, p_0=0, q_{-1}=0, q_0=1 and advanced by
     p_n = b_n p_{n-1} + a_n p_{n-2} (same for q).  These are the unreduced
-    pairs; value(n) gives the reduced convergent c_n.
+    pairs; value(n) gives the reduced convergent c_n.  The q half is
+    built at once; the p half on the first ``p``, ``pair``, ``value`` or
+    ``last``, so a reader of denominators alone never pays for it.
     """
 
     def __init__(self, expansion):
@@ -178,12 +182,16 @@ class ConvergentSeq:
         else:
             pairs = [(q.a, q.b) if isinstance(q, PartialQuotient) else tuple(q)
                      for q in expansion]
-        ps, qs = [1, 0], [0, 1]
-        for a, b in pairs:
-            ps.append(b * ps[-1] + a * ps[-2])
-            qs.append(b * qs[-1] + a * qs[-2])
-        self._p, self._q = ps, qs
+        self._pairs = pairs
+        self._q = _recurrence(pairs, 0, 1)
+        self._p_half = None
         self.length = len(pairs)
+
+    @property
+    def _p(self) -> list[int]:
+        if self._p_half is None:
+            self._p_half = _recurrence(self._pairs, 1, 0)
+        return self._p_half
 
     def _index(self, n: int) -> int:
         if n < -1 or n > self.length:
@@ -209,6 +217,17 @@ class ConvergentSeq:
 
     def __len__(self):
         return self.length
+
+
+def _recurrence(pairs, before: int, first: int) -> list[int]:
+    """[before, first, ...] advanced by v_n = b_n v_{n-1} + a_n v_{n-2}:
+    the p half of the convergents from (1, 0), the q half from (0, 1)."""
+    out = [before, first]
+    append = out.append
+    for a, b in pairs:
+        before, first = first, b * first + a * before
+        append(first)
+    return out
 
 
 def _pairs_text(quotients) -> str:

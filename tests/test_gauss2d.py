@@ -229,20 +229,54 @@ def test_orbit_matches_joint_step_chain():
               parse_exact("sqrt6/7")):
         seeds += [(_random_surd_in_unit(rng), y, 40),
                   (random_unit_rational(rng, 200), y, 40)]
-    # a rational y whose last digit falls on x's last step
+    # a rational y that runs out before x does, under a rational x (both
+    # walk as bare ints) and under a surd x; a rational x that runs out
+    # under a surd y and under a rational y with digits to spare
+    short_y = y_value_from_digits([3, 1, 2])
+    long_x = random_unit_rational(rng, 200)
+    ends = [(long_x, short_y, 30, "y_zero"),
+            (_random_surd_in_unit(rng), short_y, 30, "y_zero"),
+            (Rational(5, 17), parse_exact("(sqrt13-3)/2"), 30, "x_zero"),
+            (Rational(5, 17), random_unit_rational(rng, 200), 30, "x_zero")]
+    # a rational y whose last digit falls on x's last step: both run out
+    # after four steps, which ends a run of 5 but completes a run of 4
     y = y_value_from_digits([2, 3, 1, 4])
     x = reconstruct(PCFExpansion.from_pairs([(2, 5), (3, 3), (1, 7), (4, 9)]))
-    seeds.append((x, y, 30))
+    ends += [(x, y, 30, "both_zero"), (x, y, 5, "both_zero"),
+             (x, y, 4, None), (x, y, 3, None)]
     reasons = set()
-    for x, y, n in seeds:
+    for x, y, n in seeds + [end[:3] for end in ends]:
         rec = orbit(x, y, n)
         digits, reason = _step_chain(x, y, n)
         assert list(rec.digits) == digits
         assert rec.terminated_by == reason
         reasons.add(reason)
-    # the last seed stops with both coordinates at zero after four steps
-    assert rec.terminated_by == "both_zero" and rec.steps == 4
+    for x, y, n, reason in ends:
+        assert orbit(x, y, n).terminated_by == reason
+    assert orbit(x, y, 30).steps == 4
     assert reasons == {None, "x_zero", "y_zero", "both_zero"}
+
+
+def test_orbit_from_rational_equals_orbit_from_step_image():
+    # the same rational x as a literal and as the image joint_step builds
+    # from its preimage under cell (a, b): one orbit, digit for digit,
+    # sample for sample, with the same end
+    rng = random.Random(32)
+    seeds = [(Rational(113, 355), GOLDEN, 60),
+             (Rational(5, 17), y_value_from_digits([2, 3]), 60),
+             (_random_unit_rational_small(rng), y_value_from_digits([1] * 9), 60)]
+    for _ in range(20):
+        y = rng.choice([_random_unit_rational_small, _random_surd_in_unit])(rng)
+        seeds.append((random_unit_rational(rng, 120), y, 60))
+    for x, y, n in seeds:
+        a, b = rng.randint(1, 4), rng.randint(4, 9)
+        image, cell = joint_step(JointState(a / (b + x), 1 / (a + y)))
+        assert (cell.a, cell.b) == (a, b)
+        assert image.x == x and image.y == y
+        direct, stepped = orbit(x, y, n), orbit(image.x, image.y, n)
+        assert direct.digits == stepped.digits
+        assert direct.growth_samples == stepped.growth_samples
+        assert direct.terminated_by == stepped.terminated_by
 
 
 def test_orbit_zero_steps():

@@ -1,7 +1,7 @@
 """Every module the package imports is either in the standard library,
 part of propcf, or a runtime dependency declared in pyproject.toml, the
-CLI starts without importing numpy, and the input checks live in
-exactreal alone."""
+CLI starts without importing numpy, and the input checks and the
+expansion step live in exactreal alone."""
 
 import ast
 import os
@@ -76,3 +76,20 @@ def test_input_checks_live_in_exactreal_alone():
                     and node.name in ("_exact", "_unit", "_at_least"):
                 stray.append(f"{path.name}:{node.lineno} defines {node.name}")
     assert stray == []
+
+
+def test_expansion_step_has_one_body():
+    # the step's floor and remainder come from exactreal's _digit and its
+    # bare-int kernel _qdigit alone: no other module may define either or
+    # split a quotient with divmod
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in ("_digit", "_qdigit"):
+                found.append((path.name, f"defines {node.name}"))
+            elif isinstance(node, ast.Name) and node.id == "divmod":
+                found.append((path.name, "calls divmod"))
+    assert sorted(found) == [("exactreal.py", "calls divmod"),
+                             ("exactreal.py", "defines _digit"),
+                             ("exactreal.py", "defines _qdigit")]

@@ -101,6 +101,20 @@ def test_digit_properness_enforced():
         assert all(q.b >= q.a >= 1 for q in e.quotients)
 
 
+@pytest.mark.parametrize("pair", [(True, 2), (1, True), (True, True),
+                                  (1.0, 2), (1, "2")])
+def test_digit_pair_must_be_ints_not_bools(pair):
+    # a bool is an int to isinstance, so it once slipped through and
+    # printed as [True/2]
+    with pytest.raises(TypeError, match="digit pair must be integers"):
+        PartialQuotient(*pair)
+    with pytest.raises(TypeError, match="digit pair must be integers"):
+        PCFExpansion.from_pairs([pair])
+    # a pair of ints with b < a is still improper, not a type error
+    with pytest.raises(ImproperDigits):
+        PCFExpansion.from_pairs([(2, 1)])
+
+
 def test_remainders_stay_in_unit_interval():
     rng = random.Random(12)
     for _ in range(30):

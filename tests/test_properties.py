@@ -2,8 +2,10 @@
 arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
 constructor, the fused expansion-step kernel against floor and
-subtraction, exact orbits against a plain-``Fraction`` step loop, the
-joint step against its inverse branches, the unchecked enumeration tree
+subtraction and its bare-int kernel against it, the lazily built
+convergents against the eager recurrence, exact orbits against a
+plain-``Fraction`` step loop and the identity |q_n x - p_n| = x_0 ... x_n,
+the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, and the CLI's JSON writer against
 ``json.dumps``."""
@@ -31,6 +33,7 @@ from propcf.exactreal import (
     parse_exact,
     to_text,
     _digit,
+    _qdigit,
 )
 from propcf.gauss2d import JointState, ZeroCoordinate, joint_step, orbit
 from propcf.pcf import (
@@ -282,6 +285,17 @@ def test_digit_kernel_matches_floor_and_remainder(f, d, form, n):
                                  -n * u.r * u.q, u.d, norm)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_fractions().filter(bool), _signed(4000))
+def test_bare_int_kernel_matches_digit(f, n):
+    # _qdigit is _digit's rational branch on bare ints: the same digit and
+    # the same reduced remainder, on rationals and numerators of up to
+    # 4000 bits and either sign
+    u = _rational(f)
+    digit, rem = _digit(u, n)
+    assert _qdigit(u.num, u.den, n) == (digit, rem.num, rem.den)
+
+
 def _divisors_of(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
@@ -334,6 +348,37 @@ def test_orbit_digits_match_fraction_loop(x, y, n):
 _FIELD_SPECS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
 
 
+def _digit_pairs(max_size: int):
+    """Proper digit pairs (a, b), b >= a >= 1, with digits up to 40 bits."""
+    return st.lists(st.tuples(_magnitude(40), st.integers(0, 1 << 40)).map(
+        lambda ak: (ak[0], ak[0] + ak[1])), max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digit_pairs(60), st.sampled_from(("p", "pair", "value", "last")))
+def test_lazy_convergents_match_eager_recurrence(pairs, first):
+    # the q half at once and the p half on first use, whichever accessor
+    # asks for it first, give the pairs of the textbook recurrence
+    ps, qs = [1, 0], [0, 1]
+    for a, b in pairs:
+        ps.append(b * ps[-1] + a * ps[-2])
+        qs.append(b * qs[-1] + a * qs[-2])
+    cs = ConvergentSeq(pairs)
+    n = len(pairs)
+    if first == "p":
+        assert cs.p(n) == ps[-1]
+    elif first == "pair":
+        assert cs.pair(n) == (ps[-1], qs[-1])
+    elif first == "value":
+        assert cs.value(n) == Rational(ps[-1], qs[-1])
+    else:
+        assert cs.last() == (ps[-1], qs[-1])
+    assert [cs.q(k) for k in range(-1, n + 1)] == qs
+    assert [cs.p(k) for k in range(-1, n + 1)] == ps
+    assert [cs.pair(k) for k in range(-1, n + 1)] == list(zip(ps, qs))
+    assert cs.last() == (ps[-1], qs[-1]) and len(cs) == n
+
+
 def _unit_points():
     """Exact points of (0, 1): rationals, and frac(k*v) for v from one of
     the four benchmark fields."""
@@ -356,6 +401,26 @@ def test_joint_step_inverse_branches(x, y, steps):
         assert cell.a / (cell.b + image.x) == state.x
         assert 1 / (cell.a + image.y) == state.y
         state = image
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_fractions(600), _unit_points(), st.integers(0, 200))
+def test_orbit_convergents_satisfy_exact_identity(x, y, n):
+    # |q_k x_0 - p_k| = x_0 x_1 ... x_k along the orbit of a rational x, in
+    # Rational arithmetic: the orbit's q half and growth samples come from
+    # its q-only recurrence, the p half is built lazily on first use, and
+    # the remainders x_k = a_k/x_{k-1} - b_k are taken here independently
+    x0 = _rational(x)
+    record = orbit(x0, y, n)
+    cs = record.convergents
+    assert record.growth_samples == tuple(
+        (k, math.log(cs.q(k)) / k) for k in range(1, record.steps + 1))
+    rem = product = x0
+    for k, (a, b) in enumerate(record.digits, start=1):
+        rem = a / rem - b
+        assert 0 <= rem < 1
+        product *= rem
+        assert abs(cs.q(k) * x0 - cs.p(k)) == product
 
 
 # ---------------------------------------------------------------------------
