@@ -21,7 +21,9 @@ from .exactreal import (
     ExactReal,
     Rational,
     _at_least,
+    _digit,
     _exact,
+    _tail,
     _unit,
     floor_exact,
     floor_times,
@@ -32,7 +34,6 @@ from .pcf import (
     ConvergentSeq,
     PCFExpansion,
     PartialQuotient,
-    _digit,
     _pairs_text,
     convergents,
     pcf_step,
@@ -108,7 +109,7 @@ def _divisors(n: int) -> list[int]:
 
 def gauss_map(x, numerator: int = 1) -> ExactReal:
     """frac(numerator/x): the fixed-numerator expansion step on (0, 1)."""
-    return _digit(_unit(x), _at_least("numerator", numerator, 1))[1]
+    return pcf_step(x, numerator)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +529,7 @@ def lift_index_search(a_prime: int, b_prime: int, x_prime,
     """
     _at_least("a_prime", a_prime, 1)
     _at_least("b_prime", b_prime, a_prime)
-    x_prime = _exact(x_prime)
-    if x_prime < 0 or x_prime >= 1:
-        raise ValueError("tail must lie in [0, 1)")
+    x_prime = _tail(x_prime)
     sols = []
     truncated = False
     for a_k in _divisors(a_prime):

@@ -6,8 +6,8 @@ exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
 such as --n, --bound or --orbits below its least value, a reversed range,
 a value that cannot be evaluated exactly, a --bound given without
---oracle, or an oracle --bound too small to decide a row), 4 internal
-invariant violation.
+--oracle, an oracle --bound too small to decide a row, or an --out path
+that cannot be written), 4 internal invariant violation.
 
 Every request takes one path: argparse, then ``_config_from`` (range
 checks and the common flags), then one ``cmd_*`` that returns the document
@@ -30,7 +30,6 @@ import os
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -265,7 +264,7 @@ def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
         if out is None:
             sys.stdout.write(text)
         else:
-            Path(out).write_text(text)
+            _write(Path(out), text)
         return
     if out is None:
         chunks = []
@@ -280,7 +279,15 @@ def _emit(doc: dict, tables: list[tuple[str, list[str], list[dict]]],
     for i, (name, header, rows) in enumerate(tables):
         target = base if i == 0 else base.with_name(
             f"{base.stem}-{name}{base.suffix}")
-        target.write_text(_csv_text(header, rows))
+        _write(target, _csv_text(header, rows))
+
+
+def _write(path: Path, text: str) -> None:
+    """Write an --out file; a path that cannot be written is bad input."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +393,7 @@ def cmd_simulate(args):
     total = sum(visits.values())
     frequencies = [
         {"a": str(a), "b": str(b), "count": str(count),
-         "frequency": str(Fraction(count, total))}
+         "frequency": str(Rational(count, total))}
         for (a, b), count in sorted(visits.items())
     ]
     doc = {
@@ -409,11 +416,8 @@ def cmd_simulate(args):
 def cmd_growth(args):
     y = parse_x_spec(args.y)
     n = args.n
-    doc = {
-        "y": to_text(y),
-        "n": n,
-        "seed": args.seed,
-    }
+    # the row below adds "n" as text, like every other row cell
+    doc = {"y": to_text(y), "seed": args.seed}
     if args.x is not None:
         x0 = parse_x_spec(args.x)
         doc["x"] = to_text(x0)
@@ -439,15 +443,14 @@ def cmd_growth(args):
 
 def cmd_yofx(args):
     rows = emit_y_scatter(args.family, args.grid, args.depth, n=args.numerator)
-    live = [row for row in rows if not row["skip"]]
-    min_y = min((Rational(int(row["y_num"]), int(row["y_den"]))
-                 for row in live), default=None)
+    # every grid point has a y, so every row is live
+    min_y = min(Rational(int(row["y_num"]), int(row["y_den"])) for row in rows)
     doc = {
         "family": args.family,
         "grid": args.grid,
         "depth": args.depth,
-        "live_rows": len(live),
-        "min_y": to_text(min_y) if min_y is not None else "",
+        "live_rows": len(rows),
+        "min_y": to_text(min_y),
         "rows": rows,
     }
     if args.numerator is not None:

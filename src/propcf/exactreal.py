@@ -22,23 +22,33 @@ but still reduces, fixes the sign and demotes q == 0 to ``Rational``.
 A plain int operand stays an int: ``u + n`` and ``u - n`` move only the
 numerator, so the result is reduced as built; ``u * n`` cancels n against
 the denominator alone; ``n / u`` multiplies n into the conjugate without
-building 1/u; comparisons with n read one integer sign.  ``floor_times(n,
-v)`` gives floor(n*v) from one integer square root (none for a rational)
-and builds no value at all.  ``_digit(u, n)`` gives floor(n/u) and
-n/u - floor(n/u) together, from one gcd and one divmod for a rational and
-one gcd and one integer square root for a surd; it is the body of the
-expansion step, which ``pcf`` re-exports.  Its rational branch is
-``_qdigit(num, den, n)``, the same step on bare ints: it returns the digit
-and the remainder's (num, den) and builds no object, so exact orbits walk
-a rational coordinate without a ``Rational`` per step.  These int kernels
-are the only ones for their operations: negation is ``_scale(u, -1)`` and
-every reciprocal is ``_int_over(1, u)``.
+building 1/u; comparisons with n read one integer sign.
+
+Each exact operation has one body here:
+
+* order: one comparison body serves ``<``, ``<=``, ``>`` and ``>=``, on
+  the sign ``_shift_sign`` (an int operand) or ``_diff_sign`` reads;
+* floor: ``floor_times(n, v)`` gives floor(n*v) from one integer square
+  root (none for a rational) and builds no value; ``floor_exact(v)`` is
+  ``floor_times(1, v)``;
+* shift, scale and reciprocal: ``_shift(u, n)`` is u + n, ``_scale(u,
+  n)`` is u*n (negation is ``_scale(u, -1)``), and ``_int_over(n, u)`` is
+  n/u (every reciprocal is ``_int_over(1, u)``);
+* expansion step: ``_digit(u, n)`` gives floor(n/u) and n/u - floor(n/u)
+  together, from one gcd and one divmod for a rational and one gcd and one
+  integer square root for a surd.  Its rational branch is ``_qdigit(num,
+  den, n)``, the same step on bare ints: it returns the digit and the
+  remainder's (num, den) and builds no object, so exact orbits walk a
+  rational coordinate without a ``Rational`` per step.
+
+``fractions.Fraction`` is accepted as input and never used to compute.
 
 Input checks have one body each, here, and every module calls them:
-``_exact(v)`` is the only exact-type check (a TypeError), ``_unit(v,
-name)`` the only check that a value lies strictly between 0 and 1, and
+``_exact(v)`` is the only exact-type check (a TypeError); ``_unit(v,
+name)`` the only check that a value lies strictly between 0 and 1,
+``_tail(v, name)`` the only check that it lies in [0, 1), and
 ``_at_least(name, value, least)`` the only check of an integer argument
-(both a ValueError).  The public floors, ``frac_part`` and ``is_zero``
+(each a ValueError).  The public floors, ``frac_part`` and ``is_zero``
 check their argument through ``_exact``.
 """
 from __future__ import annotations
@@ -47,6 +57,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import ge, gt, le, lt
 
 class IncompatibleSurds(ArithmeticError):
     """Arithmetic attempted between surds from different quadratic fields."""
@@ -95,13 +106,27 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
     return root, core
 
 
+def _order(op):
+    """The comparison ``op(u - other, 0)``, decided on one integer sign: a
+    plain int operand through ``_shift_sign``, anything else through
+    ``_coerce`` and ``_diff_sign``."""
+    def compare(self, other):
+        if type(other) is int:
+            return op(_shift_sign(self, other), 0)
+        o = _coerce(other)
+        return NotImplemented if o is None else op(_diff_sign(self, o), 0)
+
+    compare.__name__ = compare.__qualname__ = f"__{op.__name__}__"
+    return compare
+
+
 class ExactReal:
     """Common operator front-end; concrete types carry the dispatch data."""
 
     __slots__ = ()
 
     def floor(self) -> int:
-        return floor_exact(self)
+        return floor_times(1, self)
 
     def frac(self) -> "ExactReal":
         return frac_part(self)
@@ -125,7 +150,7 @@ class ExactReal:
 
     def __rsub__(self, other):
         if type(other) is int:
-            return _shift(self, other, -1)
+            return _shift(_scale(self, -1), other)
         o = _coerce(other)
         return NotImplemented if o is None else _add(o, _scale(self, -1))
 
@@ -170,29 +195,12 @@ class ExactReal:
                 base = _mul(base, base)
         return out
 
-    def __lt__(self, other):
-        if type(other) is int:
-            return _shift_sign(self, other) < 0
-        o = _coerce(other)
-        return NotImplemented if o is None else _diff_sign(self, o) < 0
-
-    def __le__(self, other):
-        if type(other) is int:
-            return _shift_sign(self, other) <= 0
-        o = _coerce(other)
-        return NotImplemented if o is None else _diff_sign(self, o) <= 0
-
-    def __gt__(self, other):
-        if type(other) is int:
-            return _shift_sign(self, other) > 0
-        o = _coerce(other)
-        return NotImplemented if o is None else _diff_sign(self, o) > 0
-
-    def __ge__(self, other):
-        if type(other) is int:
-            return _shift_sign(self, other) >= 0
-        o = _coerce(other)
-        return NotImplemented if o is None else _diff_sign(self, o) >= 0
+    # one comparison body, bound to each order operator; every instance
+    # shares its code object
+    __lt__ = _order(lt)
+    __le__ = _order(le)
+    __gt__ = _order(gt)
+    __ge__ = _order(ge)
 
 
 class Rational(ExactReal):
@@ -245,7 +253,8 @@ class Rational(ExactReal):
         return isinstance(o, Rational) and self.num == o.num and self.den == o.den
 
     def __float__(self):
-        return float(Fraction(self.num, self.den))
+        # int true division rounds correctly, as Fraction.__float__ does
+        return self.num / self.den
 
 
 class Surd(ExactReal):
@@ -324,19 +333,18 @@ class Surd(ExactReal):
 
 def sqrt_exact(n) -> ExactReal:
     """Exact square root of a non-negative int, Fraction or Rational."""
-    if isinstance(n, Rational):
-        n = Fraction(n.num, n.den)
-    if isinstance(n, int):
-        n = Fraction(n)
-    if n < 0:
+    n = _exact(n)
+    if not isinstance(n, Rational):
+        raise TypeError("sqrt_exact takes a rational")
+    if n.num < 0:
         raise ValueError("negative radicand")
-    if n == 0:
+    if n.num == 0:
         return Rational(0)
-    m = n.numerator * n.denominator  # sqrt(a/b) = sqrt(a*b)/b
-    root, core = _squarefree_decompose(m)
+    # sqrt(a/b) = sqrt(a*b)/b
+    root, core = _squarefree_decompose(n.num * n.den)
     if core == 1:
-        return Rational(root, n.denominator)
-    return Surd(0, root, core, n.denominator)
+        return Rational(root, n.den)
+    return Surd(0, root, core, n.den, _squarefree=True)
 
 
 # the unit-interval golden number (sqrt(5)-1)/2, fixed point of x -> 1/x - 1
@@ -367,8 +375,18 @@ def _unit(v, name: str = "x") -> ExactReal:
     domain of x and of every expansion step: a nonzero value of floor 0."""
     if not isinstance(v, ExactReal):
         v = _exact(v)
-    if is_zero(v) or floor_exact(v) != 0:
+    if is_zero(v) or floor_times(1, v) != 0:
         raise ValueError(f"{name} must lie strictly between 0 and 1")
+    return v
+
+
+def _tail(v, name: str = "tail") -> ExactReal:
+    """v as an exact value, checked to lie in [0, 1), the domain of an
+    expansion's tail: a value of floor 0."""
+    if not isinstance(v, ExactReal):
+        v = _exact(v)
+    if floor_times(1, v) != 0:
+        raise ValueError(f"{name} must lie in [0, 1)")
     return v
 
 
@@ -441,11 +459,11 @@ def _mul(u, v):
 # denominator cannot create a common factor, so u + n is already reduced;
 # u*n cancels n against the denominator only, so it is reduced too.
 
-def _shift(u, n: int, s: int = 1):
-    """s*u + n for s = 1 or -1."""
+def _shift(u, n: int):
+    """u + n."""
     if isinstance(u, Rational):
-        return Rational(s * u.num + n * u.den, u.den, _normalize=False)
-    return Surd(s * u.p + n * u.r, s * u.q, u.d, u.r, _reduced=True)
+        return Rational(u.num + n * u.den, u.den, _normalize=False)
+    return Surd(u.p + n * u.r, u.q, u.d, u.r, _reduced=True)
 
 
 def _scale(u, n: int):
@@ -493,8 +511,8 @@ def _qdigit(num: int, den: int, n: int) -> tuple[int, int, int]:
 
 def _digit(u, n: int) -> tuple[int, ExactReal]:
     """floor(n/u) and n/u - floor(n/u) together, for a nonzero int n and
-    a nonzero u: the digit and remainder of the expansion step, which
-    ``pcf`` re-exports.  A rational u steps through ``_qdigit``."""
+    a nonzero u: the digit and remainder of the expansion step, unchecked.
+    A rational u steps through ``_qdigit``."""
     if isinstance(u, Rational):
         if u.num == 0:
             raise ZeroDivisionError("division by exact zero")
@@ -566,19 +584,13 @@ def _diff_sign(u, v) -> int:
 
 
 def floor_exact(v) -> int:
-    """Exact floor, from one integer square root for a surd."""
-    if not isinstance(v, ExactReal):
-        v = _exact(v)
-    if isinstance(v, Rational):
-        return v.num // v.den
-    s = isqrt(v.q * v.q * v.d)
-    root_floor = s if v.q > 0 else -s - 1  # q*sqrt(d) is irrational
-    return (v.p + root_floor) // v.r
+    """Exact floor: ``floor_times(1, v)``."""
+    return floor_times(1, v)
 
 
 def floor_times(n: int, v) -> int:
     """floor(n*v) for an integer n, building no value: one integer square
-    root for a surd, none for a rational."""
+    root for a surd, none for a rational.  The package's only floor."""
     if not isinstance(v, ExactReal):
         v = _exact(v)
     if isinstance(v, Rational):
@@ -595,7 +607,7 @@ def frac_part(v) -> ExactReal:
     """v - floor(v), exactly; the value lies in [0, 1)."""
     if not isinstance(v, ExactReal):
         v = _exact(v)
-    return _shift(v, -floor_exact(v))
+    return _shift(v, -floor_times(1, v))
 
 
 def is_zero(v) -> bool:
@@ -631,7 +643,9 @@ class _Parser:
     grammar:  expr := ['-'] term (('+'|'-') term)*
               term := factor (('*'|'/') factor)*
               factor := INT | DECIMAL | 'golden' | sqrt-form | '(' expr ')'
-              sqrt-form := 'sqrt' (INT | '(' expr ')')   (also spelled sqrtN)
+              sqrt-form := 'sqrt' (INT | '(' expr ')')
+
+    A name token is letters alone, so "sqrt5" scans as 'sqrt' INT.
     """
 
     def __init__(self, text):
@@ -685,19 +699,14 @@ class _Parser:
             return Rational(int(v))
         if k == "dec":
             self.take()
-            f = Fraction(v)
-            return Rational(f.numerator, f.denominator)
+            whole, _, digits = v.partition(".")
+            return Rational(int(whole + digits), 10 ** len(digits))
         if k == "name":
             self.take()
             name = v.lower()
             if name == "golden":
                 return GOLDEN
-            if name.startswith("sqrt"):
-                tail = name[4:]
-                if tail:
-                    if not tail.isdigit():
-                        raise ParseError(f"unknown name {v!r}", pos)
-                    return sqrt_exact(int(tail))
+            if name == "sqrt":
                 nk, nv, npos = self.peek()
                 if nk == "int":
                     self.take()

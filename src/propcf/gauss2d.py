@@ -2,11 +2,12 @@
 
 The two-coordinate map reads a numerator digit a = floor(1/y) off the
 second coordinate and a denominator digit b = floor(a/x) off the first,
-then moves to (a/x - b, 1/y - a).  It is two proper-continued-fraction
-steps (``pcf._digit``): the classical Gauss step, numerator 1, on y, and
-the step with numerator a on x.  Each digit pair labels an open
-rectangle (cylinder) of the square, and iterating the map expands x as a
-proper continued fraction whose numerators are the classical digits of y.
+then moves to (a/x - b, 1/y - a).  It is two calls of the one
+expansion step, ``exactreal._digit``: the classical Gauss step,
+numerator 1, on y, and the step with numerator a on x.  Each digit pair
+labels an open rectangle (cylinder) of the square, and iterating the map
+expands x as a proper continued fraction whose numerators are the
+classical digits of y.
 Choosing y by formula instead gives the scalar families: y = golden mean
 reproduces the classical expansion of x, y built from x's own remainders
 gives the variable-numerator and chained-digit families, and a periodic y
@@ -39,6 +40,7 @@ from .exactreal import (
     Rational,
     Surd,
     _at_least,
+    _digit,
     _exact,
     _qdigit,
     _unit,
@@ -46,7 +48,7 @@ from .exactreal import (
     is_zero,
     sqrt_exact,
 )
-from .pcf import ConvergentSeq, _digit, pcf_step
+from .pcf import ConvergentSeq, pcf_step
 
 
 class ZeroCoordinate(ArithmeticError):
@@ -476,29 +478,27 @@ def emit_y_scatter(family: str, grid: int, depth: int,
 
     A rational x whose expansion completes before ``depth`` still gets a
     row — its y is then exact, and ``digits_used`` says how many digits
-    there were.  Skip markers appear only for degenerate x with no digits
-    at all.  For the varnum family each row carries the self-similarity
-    residual |y(x) - (1/y(1/(1+x)) - 1)| with both sides cut at the same
-    point (an exact fraction; 0 whenever both expansions completed).
+    there were.  Every grid point has at least one digit (``y_of_x``
+    takes a step from a nonzero x, or repeats n), so ``skip`` is always
+    empty; the column stays for the output's shape.  For the varnum family
+    each row carries the self-similarity residual
+    |y(x) - (1/y(1/(1+x)) - 1)| with both sides cut at the same point (an
+    exact fraction; 0 whenever both expansions completed).
     """
     _at_least("grid", grid, 2)
     rows = []
     for i in range(1, grid + 1):
         x = Rational(i, grid + 1)
-        base = {"x_num": str(i), "x_den": str(grid + 1),
-                "family": family, "depth": str(depth)}
         digits = y_of_x(x, family, depth, n)
-        if not digits:
-            rows.append({**base, "digits_used": "0", "y_num": "", "y_den": "",
-                         "skip": "degenerate", "residual": ""})
-            continue
         y = y_value_from_digits(digits)
         residual = ""
         if family == "varnum":
             shifted = y_of_x(1 / (1 + x), family, depth, n)
             other = 1 / y_value_from_digits(shifted) - 1
             residual = str(abs(y - other))
-        rows.append({**base, "digits_used": str(len(digits)),
+        rows.append({"x_num": str(i), "x_den": str(grid + 1),
+                     "family": family, "depth": str(depth),
+                     "digits_used": str(len(digits)),
                      "y_num": str(y.num), "y_den": str(y.den),
                      "skip": "", "residual": residual})
     return rows

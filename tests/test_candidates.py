@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -524,6 +525,22 @@ def test_lift_truncation_flag():
     x_prime = sqrt_exact(5) - 2
     res = lift_index_search(2, 3, x_prime, bound=1)
     assert res.truncated and res.solutions == ()
+
+
+def test_tail_domain_has_one_check():
+    # an expansion's tail and a lift's x' take the same [0, 1) check
+    for v in (Rational(-1, 2), 1, Fraction(3, 2), 1 - GOLDEN + 1):
+        for build in (lambda: PCFExpansion((), v),
+                      lambda: lift_index_search(1, 1, v)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "tail must lie in [0, 1)"
+    for build in (lambda: PCFExpansion((), 0.5),
+                  lambda: lift_index_search(1, 1, 0.5)):
+        with pytest.raises(TypeError):
+            build()
+    assert PCFExpansion((), 0).is_complete()
+    assert lift_index_search(1, 1, GOLDEN).solutions == ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: worked examples,
 output determinism, exit codes, and environment overrides."""
 
+import errno
 import hashlib
 import json
 import os
@@ -263,6 +264,16 @@ def test_yofx_n_is_not_an_orbit_length(capsys):
     assert doc["n"] == 1 and doc["live_rows"] == 5
 
 
+@pytest.mark.parametrize("family", ("varnum", "engel", "greedy"))
+def test_yofx_every_grid_point_is_live(capsys, family):
+    # every x = i/(grid+1) gives y at least one digit, rational x included
+    doc = run_json(capsys, "yofx", "--family", family, "--grid", "30",
+                   "--depth", "1", "--n", "2")
+    assert doc["live_rows"] == 30 == len(doc["rows"])
+    assert all(row["skip"] == "" and int(row["digits_used"]) >= 1
+               for row in doc["rows"])
+
+
 # ---------------------------------------------------------------------------
 # determinism, exit codes, environment
 
@@ -455,3 +466,26 @@ def test_out_json_matches_stdout(tmp_path, capsys):
     code, out = run_main(capsys, *argv, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_bytes() == printed.encode()
+
+
+def test_unwritable_out_is_bad_input(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing" / "x.json"
+    enoent, eisdir = os.strerror(errno.ENOENT), os.strerror(errno.EISDIR)
+
+    def check(argv, path, reason):
+        assert cli.main(list(argv)) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {str(path)!r}: {reason}\n"
+
+    check(("expand", "golden", "--numerators", "1", "--out", str(missing)),
+          missing, enoent)
+    # several CSV tables: the first file fails
+    check(("simulate", "--n", "5", "--format", "csv", "--out", str(missing)),
+          missing, enoent)
+    check(("rational", "5/6", "--out", str(tmp_path)), tmp_path, eisdir)
+    check(("rational", "5/6", "--format", "csv", "--out", str(tmp_path)),
+          tmp_path, eisdir)
+    monkeypatch.setenv("PROPCF_OUT", str(missing))
+    check(("expand", "golden", "--numerators", "1"), missing, enoent)
+    assert not missing.parent.exists()

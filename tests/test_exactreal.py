@@ -68,6 +68,17 @@ def test_sqrt_exact_extracts_square_part():
     assert sqrt_exact(Fraction(1, 4)) == Rational(1, 2)
     # sqrt(5/9) = sqrt(45)/9 = 3 sqrt(5)/9 = sqrt(5)/3
     assert sqrt_exact(Fraction(5, 9)) == Surd(0, 1, 5, 3)
+    # an int, a Fraction and a Rational of one value have one root
+    for f in (Fraction(0), Fraction(8), Fraction(10**12 + 1), Fraction(5, 9),
+              Fraction(7, 12)):
+        assert sqrt_exact(f) == sqrt_exact(Rational(f))
+        if f.denominator == 1:
+            assert sqrt_exact(f.numerator) == sqrt_exact(f)
+    for bad in (GOLDEN, Surd(0, 1, 2), 2.0, 0.25):
+        with pytest.raises(TypeError):
+            sqrt_exact(bad)
+    with pytest.raises(ValueError):
+        sqrt_exact(Rational(-1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +288,9 @@ def test_parse_basic_forms():
     assert parse_exact(" ( 3 - sqrt(17) ) / 2 ") == Surd(3, -1, 17, 2)
     assert parse_exact("2*sqrt(7)/3") == Surd(0, 2, 7, 3)
     assert parse_exact("sqrt2-1") == Surd(-1, 1, 2, 1)
+    # a name token is letters alone: "sqrt5" scans as sqrt and 5
+    assert parse_exact("sqrt5") == parse_exact("sqrt 5") == \
+        parse_exact("sqrt(5)") == Surd(0, 1, 5)
 
 
 def test_parse_round_trip_exact():
@@ -297,6 +311,10 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as err:
             parse_exact(text)
         assert err.value.pos == pos
+    for text, name in (("sqrtx", "sqrtx"), ("sqrt_5", "sqrt_")):
+        with pytest.raises(ParseError) as err:
+            parse_exact(text)
+        assert str(err.value) == f"unknown name {name!r} (at position 0)"
     with pytest.raises(ParseError):
         parse_exact("")
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Property tests of the fast paths against slow references: ``Rational``
-arithmetic against ``fractions.Fraction``, same-field ``Surd`` arithmetic
+arithmetic, float conversion and decimal parsing against
+``fractions.Fraction``, same-field ``Surd`` arithmetic
 and order against the textbook formulas through the normalising
 constructor, the fused expansion-step kernel against floor and
 subtraction and its bare-int kernel against it, the lazily built
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propcf import cli
 from propcf.exactreal import (
@@ -113,6 +114,36 @@ def test_rational_order_hash_and_text_match_fraction(fa, fb):
     assert a == _rational(fa) and a == fa.numerator / Rational(fa.denominator)
     assert hash(a) == hash(fa)
     assert str(a) == str(fa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 80),
+       st.integers(-1200, 1200))
+@example(1, 1, -1074)            # the least subnormal
+@example(3, 1, -1076)            # a subnormal rounded half to even
+@example(-1, 1, -1100)           # underflow to -0.0
+@example(1, 1, 1024)             # just past the float range
+@example(10**400, 10**399, 0)    # operands past the float range, result 10
+def test_rational_float_matches_fraction(n, d, shift):
+    # n/d scaled by 2**shift, so results reach subnormals and overflow
+    n, d = (n << shift, d) if shift >= 0 else (n, d << -shift)
+    try:
+        expected = float(Fraction(n, d))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(Rational(n, d))
+        return
+    assert repr(float(Rational(n, d))) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("", "-")), st.text("0123456789", min_size=1, max_size=27),
+       st.text("0123456789", min_size=1, max_size=27),
+       st.integers(0, 3), st.integers(0, 3))
+def test_decimal_literal_matches_fraction(sign, whole, digits, lead, trail):
+    # up to 60 digits, with leading and trailing zeros
+    text = f"{sign}{'0' * lead}{whole}.{digits}{'0' * trail}"
+    assert parse_exact(text) == Fraction(text)
 
 
 # ---------------------------------------------------------------------------
