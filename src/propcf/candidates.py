@@ -6,7 +6,9 @@ when p/q < x (matching the parity of the index a convergent equal to it
 would need).  Odd candidates are always realizable in one step; even
 candidates are governed by a divisor criterion on p, checked here both
 through that criterion and through a brute-force search over two-step
-prefixes.  The module also hosts the Beatty/return-time characterizations
+prefixes.  The cheap cutoff ``q2_cutoff_check`` is that criterion on the
+divisors 1 and p alone, so it is exact whenever p is 1 or a prime.  The
+module also hosts the Beatty/return-time characterizations
 of candidate denominators, an index push-down rewrite with its inverse
 search, and a construction witnessing that the convergent error bound
 cannot be tightened.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .exactreal import (
     ExactReal,
@@ -140,26 +141,28 @@ def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     return base, base + 1
 
 
-def _split_qx(x: ExactReal, q: int) -> tuple[int, ExactReal, bool]:
-    """floor(qx), frac(qx), and whether (floor(qx), q) is an even
-    candidate: 0 < frac(qx) < x and floor(qx) >= 1.  A pair hitting x
-    exactly (frac(qx) = 0) is no candidate."""
+def _split_qx(x: ExactReal, q: int) -> tuple[int, bool]:
+    """floor(qx), and whether (floor(qx), q) is an even candidate:
+    floor((q-1)x) < floor(qx), that is frac(qx) < x (so floor(qx) >= 1),
+    and qx is not a whole number (a pair hitting x exactly is no
+    candidate).  Floors alone, building no value."""
     base = floor_times(q, x)
-    f = q * x - base
-    return base, f, base >= 1 and not is_zero(f) and f < x
+    return base, (floor_times(q - 1, x) < base
+                  and base != -floor_times(-q, x))
 
 
 def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
     """The only possible numerators for denominator q, as (p_even, p_odd).
 
     p_even = floor(qx) works iff 0 < frac(qx) < x; p_odd = floor(qx)+1
-    works iff frac(qx) > 1-x.  A missing side is None.
+    works iff frac(qx) > 1-x, that is (q+1)x > floor(qx) + 1.  A missing
+    side is None.
     """
     _at_least("q", q, 1)
     x = _unit(x)
-    base, f, even = _split_qx(x, q)
+    base, even = _split_qx(x, q)
     p_even = base if even else None
-    p_odd = base + 1 if f > 1 - x else None
+    p_odd = base + 1 if -floor_times(-q - 1, x) > base + 1 else None
     return p_even, p_odd
 
 
@@ -183,7 +186,8 @@ def fractional_part_characterization(x, q: int):
     _at_least("q", q, 1)
     x = _unit(x)
     inv = 1 / x
-    base, f, _ = _split_qx(x, q)
+    base = floor_times(q, x)
+    f = q * x - base
     even_frac = bool(f < x)
     even_floor = base >= 1 and floor_times(base, inv) + 1 == q
     odd_frac = bool(f > 1 - x)
@@ -281,9 +285,10 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
         raise ValueError(f"({p}, {q}) is not a candidate pair for this x")
     hits = 0
     final_hit = False
+    low = 1 - x
     for k in range(1, q + 1):
         f = frac_part(k * x)
-        inside = (f < x) if cand.parity is Parity.EVEN else (f > 1 - x)
+        inside = (f < x) if cand.parity is Parity.EVEN else (f > low)
         if inside:
             hits += 1
             if k == q:
@@ -307,24 +312,31 @@ def realize_odd(x, p: int) -> RealizationWitness:
     return witness
 
 
-def realizable_as_q2(x, p: int) -> RealizationWitness | None:
-    """Divisor criterion for the even candidate (p, floor(p/x)+1): a
-    realizing two-step prefix exists iff some divisor a of p has
-    frac(p/x) + frac(a/x) > 1.  Returns the constructed witness or None.
+def _fires(inv: ExactReal, p: int, q: int, a: int) -> bool:
+    """Whether the divisor a fires for the even candidate (p, q) of
+    x = 1/inv, q = floor(p/x) + 1: frac(p/x) + frac(a/x) > 1.
 
     The test runs on floors alone: the fractional parts sum to at least 1
     exactly when floor((p+a)/x) exceeds floor(p/x) + floor(a/x), and to
     exactly 1 when, besides, (p+a)/x is a whole number (floor equals
     ceiling), which only a rational x allows."""
+    both = floor_times(p + a, inv)
+    return (both >= q + floor_times(a, inv)
+            and both != -floor_times(-p - a, inv))
+
+
+def realizable_as_q2(x, p: int) -> RealizationWitness | None:
+    """Divisor criterion for the even candidate (p, floor(p/x)+1): a
+    realizing two-step prefix exists iff some divisor a of p has
+    frac(p/x) + frac(a/x) > 1 (``_fires``).  Returns the constructed
+    witness or None."""
     _at_least("p", p, 1)
     x = _unit(x)
     inv = 1 / x
-    base = floor_times(p, inv)
-    q = base + 1
+    q = floor_times(p, inv) + 1
     for a in _divisors(p):
-        b1 = floor_times(a, inv)
-        both = floor_times(p + a, inv)
-        if both > base + b1 and both != -floor_times(-p - a, inv):
+        if _fires(inv, p, q, a):
+            b1 = floor_times(a, inv)
             b2 = p // a
             a2 = q - b1 * b2
             if a2 < 1 or a2 > b2:
@@ -377,27 +389,21 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
 def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     """Cheap sufficient test for even-candidate realizability.
 
-    frac(qx) below max(x/2, x*frac(1/x)) guarantees a witness (the divisor
-    criterion fires with a = p or a = 1); above it nothing is implied.
-    The cached threshold checks x, once per distinct x.
+    The divisor criterion on the divisors a = p and a = 1 of
+    p = floor(qx) alone: it fires for a = p iff frac(qx) < x/2 and for
+    a = 1 iff frac(qx) < x*frac(1/x), so a witness is guaranteed below
+    max(x/2, x*frac(1/x)).  Above it nothing is implied, except when p is
+    1 or a prime: those two are then all of p's divisors, and the verdict
+    is exact.
     """
-    threshold = _cutoff_threshold(x)
-    _, f, even = _split_qx(x, _at_least("q", q, 1))
+    x = _unit(x)
+    p, even = _split_qx(x, _at_least("q", q, 1))
     if not even:
         return CutoffVerdict.NOT_EVEN_CANDIDATE
-    if f < threshold:
+    inv = 1 / x
+    if _fires(inv, p, q, p) or _fires(inv, p, q, 1):
         return CutoffVerdict.GUARANTEED_REALIZABLE
     return CutoffVerdict.UNDETERMINED
-
-
-@lru_cache(maxsize=64)
-def _cutoff_threshold(x: ExactReal) -> ExactReal:
-    """max(x/2, x*frac(1/x)); a sweep asks for it once per row, so the
-    value is kept for the few x a run uses."""
-    x = _unit(x)
-    half = x / 2
-    stretched = x * gauss_map(x, 1)
-    return half if half > stretched else stretched
 
 
 def _even_witness(x, p: int, bound: int | None, oracle: bool,
@@ -458,24 +464,23 @@ def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
 
 def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
     """Where in (0,1) do realizable even candidates sit, measured by
-    u = frac(qx)/x?  Data for the open region above the guaranteed cutoff;
-    nothing is asserted here."""
+    u = frac(qx)/x?  Data for the open region above the guaranteed cutoff
+    max(1/2, frac(1/x)) on u; nothing is asserted here.  u = 1 (p/x a
+    whole number) falls in no bin."""
     x = _unit(x)
-    threshold = _cutoff_threshold(x) / x
-    edges = [Rational(i, bins) for i in range(bins + 1)]
+    _at_least("p_max", p_max, 1)
+    _at_least("bins", bins, 1)
+    threshold = max(Rational(1, 2), gauss_map(x, 1))
     counts = [[0, 0] for _ in range(bins)]
     for p in range(1, p_max + 1):
         _, q = candidate_q_for_p(x, p)
-        u = frac_part(q * x) / x
-        realizable = realizable_as_q2(x, p) is not None
-        for i in range(bins):
-            if edges[i] <= u < edges[i + 1]:
-                counts[i][0 if realizable else 1] += 1
-                break
+        i = floor_times(bins, frac_part(q * x) / x)
+        if i < bins:
+            counts[i][0 if realizable_as_q2(x, p) is not None else 1] += 1
     return [{
-        "bin_low": float(edges[i]), "bin_high": float(edges[i + 1]),
+        "bin_low": i / bins, "bin_high": (i + 1) / bins,
         "realizable": counts[i][0], "unrealizable": counts[i][1],
-        "above_cutoff": bool(edges[i] >= threshold),
+        "above_cutoff": bool(Rational(i, bins) >= threshold),
     } for i in range(bins)]
 
 

@@ -43,6 +43,7 @@ from .exactreal import (
     _digit,
     _exact,
     _qdigit,
+    _tail,
     _unit,
     floor_exact,
     is_zero,
@@ -70,19 +71,16 @@ class OnBoundary(ValueError):
 
 @dataclass(frozen=True)
 class JointState:
-    """A point of the closed unit square plus how many steps produced it."""
+    """A point of [0, 1)^2, the domain of every remainder the map
+    produces, plus how many steps produced it."""
 
     x: ExactReal
     y: ExactReal
     step: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _exact(self.x))
-        object.__setattr__(self, "y", _exact(self.y))
-        for name in ("x", "y"):
-            v = getattr(self, name)
-            if not (0 <= v and v <= 1):
-                raise ValueError(f"{name} must lie in [0, 1]")
+        object.__setattr__(self, "x", _tail(self.x, "x"))
+        object.__setattr__(self, "y", _tail(self.y, "y"))
         _at_least("step", self.step, 0)
 
 
@@ -246,6 +244,8 @@ def float_orbit(x0: float, y0: float, n: int) -> OrbitRecord:
     """
     _at_least("n", n, 0)
     x, y = float(x0), float(y0)
+    # a float seed is no exact value, so exactreal's checks (which refuse
+    # floats) do not apply here
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise ValueError("seeds must lie in (0, 1)")
     digits: list[tuple[int, int]] = []

@@ -325,6 +325,10 @@ _COUNT_CALLS = {
     "candidate_q_for_p": (lambda p: candidate_q_for_p(GOLDEN, p), 1),
     "is_candidate": (lambda p: is_candidate(GOLDEN, p, 3), 1),
     "orbit": (lambda n: orbit(GOLDEN, GOLDEN, n), 0),
+    "cutoff_margin_survey-p_max": (
+        lambda n: cutoff_margin_survey(GOLDEN, n), 1),
+    "cutoff_margin_survey-bins": (
+        lambda n: cutoff_margin_survey(GOLDEN, 10, bins=n), 1),
     "pcf_step": (lambda a: pcf_step(Rational(1, 2), a), 1),
 }
 
@@ -361,30 +365,92 @@ def test_cutoff_is_sound():
                     assert realizable_as_q2(x, p_even) is not None
 
 
-def _even_numerator_by_definition(x, q: int) -> int | None:
-    """The p with qx - p in (0, x), read off is_candidate alone."""
+def _numerator_by_definition(x, q: int, parity: Parity) -> int | None:
+    """The p with (p, q) a candidate of the given parity, read off
+    is_candidate alone."""
     base = floor_exact(q * x)
     for p in range(max(base - 1, 1), base + 2):
         got = is_candidate(x, p, q)
-        if got is not None and got.parity is Parity.EVEN:
+        if got is not None and got.parity is parity:
             return p
     return None
 
 
+_FIELDS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
+
+
 def test_even_side_has_one_rule():
     # a rational x with qx an integer has no even candidate for q: the pair
-    # (qx, q) hits x exactly, and all three functions must say so
+    # (qx, q) hits x exactly, and all three functions must say so; a
+    # rational x also meets the cutoff with equality, which guarantees
+    # nothing
     values = [Rational(t, s) for s in range(2, 30) for t in range(1, s)
               if math.gcd(t, s) == 1]
-    values += [parse_exact(spec) for spec in
-               ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")]
+    values += [parse_exact(spec) for spec in _FIELDS]
     for x in values:
+        cutoff = max(x / 2, x * frac_part(1 / x))
         for q in range(1, 81):
-            p_even = _even_numerator_by_definition(x, q)
-            assert candidate_p_for_q(x, q)[0] == p_even, (x, q)
+            p_even = _numerator_by_definition(x, q, Parity.EVEN)
+            p_odd = _numerator_by_definition(x, q, Parity.ODD)
+            assert candidate_p_for_q(x, q) == (p_even, p_odd), (x, q)
             verdict = q2_cutoff_check(x, q)
-            assert (verdict is CutoffVerdict.NOT_EVEN_CANDIDATE) == (
-                p_even is None), (x, q)
+            if p_even is None:
+                expected = CutoffVerdict.NOT_EVEN_CANDIDATE
+            elif frac_part(q * x) < cutoff:
+                expected = CutoffVerdict.GUARANTEED_REALIZABLE
+            else:
+                expected = CutoffVerdict.UNDETERMINED
+            assert verdict is expected, (x, q)
+
+
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, n + 1, k)))
+    return [k for k in range(n + 1) if sieve[k]]
+
+
+@pytest.mark.parametrize("spec", _FIELDS + ("3/7",))
+def test_cutoff_is_exact_on_primes(spec):
+    # 1 and p are all the divisors of a prime p, and the cutoff is the
+    # divisor criterion on exactly those two, so it decides every p = 1
+    # or prime: guaranteed iff a witness exists
+    x = parse_exact(spec)
+    for p in [1] + _primes_upto(2000):
+        q = candidate_q_for_p(x, p)[1]
+        verdict = q2_cutoff_check(x, q)
+        witness = realizable_as_q2(x, p)
+        assert (verdict is CutoffVerdict.GUARANTEED_REALIZABLE) == (
+            witness is not None), (spec, p)
+
+
+def test_q_side_builds_no_exact_value(monkeypatch):
+    # candidate_p_for_q decides both sides on floors alone, and
+    # q2_cutoff_check builds at most one value per call: the reciprocal
+    # its divisor test runs on
+    built = [0]
+    surd_new, rational_init = Surd.__new__, Rational.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return surd_new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        rational_init(self, *args, **kwargs)
+
+    x_values = (GOLDEN, Rational(2, 7))
+    monkeypatch.setattr(Surd, "__new__", counting_new)
+    monkeypatch.setattr(Rational, "__init__", counting_init)
+    for x in x_values:
+        for q in range(1, 201):
+            built[0] = 0
+            candidate_p_for_q(x, q)
+            assert built[0] == 0, (x, q)
+            q2_cutoff_check(x, q)
+            assert built[0] <= 1, (x, q)
 
 
 def test_sweep_rows_golden():
@@ -441,6 +507,36 @@ def test_cutoff_margin_survey_shape():
         # everything strictly below 1/2 is below the guaranteed cutoff
         if r["bin_high"] <= 0.5:
             assert r["unrealizable"] == 0
+
+
+@pytest.mark.parametrize("bins", [3, 4, 10])
+@pytest.mark.parametrize("spec", _FIELDS + ("3/7",))
+def test_cutoff_margin_survey_counts_by_membership(spec, bins):
+    # u = frac(qx)/x of each even candidate, binned by i/bins <= u <
+    # (i+1)/bins; u = 1 (p/x a whole number, e.g. p = 3 for 3/7) lies in
+    # no bin
+    x = parse_exact(spec)
+    p_max = 200
+    counts = [[0, 0] for _ in range(bins)]
+    for p in range(1, p_max + 1):
+        q = candidate_q_for_p(x, p)[1]
+        u = frac_part(q * x) / x
+        realizable = realizable_as_q2(x, p) is not None
+        for i in range(bins):
+            if Rational(i, bins) <= u < Rational(i + 1, bins):
+                counts[i][0 if realizable else 1] += 1
+    rows = cutoff_margin_survey(x, p_max, bins)
+    cutoff = max(x / 2, x * frac_part(1 / x))
+    assert rows == [{
+        "bin_low": float(Rational(i, bins)),
+        "bin_high": float(Rational(i + 1, bins)),
+        "realizable": counts[i][0], "unrealizable": counts[i][1],
+        "above_cutoff": Rational(i, bins) * x >= cutoff,
+    } for i in range(bins)]
+    whole = sum(1 for p in range(1, p_max + 1)
+                if is_candidate(x, p, candidate_q_for_p(x, p)[1]) is None)
+    assert sum(map(sum, counts)) == p_max - whole
+    assert whole == (66 if spec == "3/7" else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,12 @@ def test_joint_state_validation():
         JointState(GOLDEN, -GOLDEN)
     with pytest.raises(ValueError):
         JointState(GOLDEN, GOLDEN, step=-1)
+    # [0, 1) is the domain of every remainder the map produces; 1 lies on
+    # a cylinder gridline and no step reaches it
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\)$"):
+        JointState(Rational(1), GOLDEN)
+    with pytest.raises(ValueError, match=r"^y must lie in \[0, 1\)$"):
+        JointState(GOLDEN, Rational(1))
 
 
 def test_cylinder_of_examples():
