@@ -7,11 +7,14 @@ would need).  Odd candidates are always realizable in one step; even
 candidates are governed by a divisor criterion on p, checked here both
 through that criterion and through a brute-force search over two-step
 prefixes.  The cheap cutoff ``q2_cutoff_check`` is that criterion on the
-divisors 1 and p alone, so it is exact whenever p is 1 or a prime.  The
-module also hosts the Beatty/return-time characterizations
-of candidate denominators, an index push-down rewrite with its inverse
-search, and a construction witnessing that the convergent error bound
-cannot be tightened.
+divisors 1 and p alone, so it is exact whenever p is 1 or a prime.  Every
+decision is a comparison of floors floor(n/x): a sweep takes each of them
+once, from one memo (``_Floors``) that the odd digit, the criterion
+(``_fires``) and the cutoff read, and each public per-p function builds a
+fresh memo around the same private body.  The module also hosts the
+Beatty/return-time characterizations of candidate denominators, an index
+push-down rewrite with its inverse search, and a construction witnessing
+that the convergent error bound cannot be tightened.
 """
 from __future__ import annotations
 
@@ -302,41 +305,57 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
 # realizability
 
 
-def realize_odd(x, p: int) -> RealizationWitness:
-    """The one-step witness for the odd candidate (p, floor(p/x)); the
-    step checks x and p."""
-    b1 = pcf_step(x, p)[0]
+class _Floors(dict):
+    """floor(n/x) for each integer n a caller asks about, taken once per
+    memo.  ``F[-n] = floor(-n/x)`` is minus the ceiling of n/x, so
+    ``-F[-n] == F[n]`` exactly when n/x is a whole number (the rational
+    tie guard).  One memo serves a whole sweep."""
+
+    __slots__ = ("inv",)
+
+    def __init__(self, x: ExactReal):
+        self.inv = 1 / x
+
+    def __missing__(self, n: int) -> int:
+        value = self[n] = floor_times(n, self.inv)
+        return value
+
+
+def _odd_witness(x: ExactReal, p: int, b1: int) -> RealizationWitness:
+    """The one-step witness (p, b1) with b1 = floor(p/x), checked."""
     witness = RealizationWitness((PartialQuotient(p, b1),), 1)
     if not witness.verify(x, p, b1):
         raise InvariantViolation(f"odd witness failed for p={p}")
     return witness
 
 
-def _fires(inv: ExactReal, p: int, q: int, a: int) -> bool:
-    """Whether the divisor a fires for the even candidate (p, q) of
-    x = 1/inv, q = floor(p/x) + 1: frac(p/x) + frac(a/x) > 1.
+def realize_odd(x, p: int) -> RealizationWitness:
+    """The one-step witness for the odd candidate (p, floor(p/x))."""
+    x = _unit(x)
+    _at_least("p", p, 1)
+    return _odd_witness(x, p, _Floors(x)[p])
+
+
+def _fires(F: _Floors, p: int, q: int, a: int) -> bool:
+    """Whether the divisor a fires for the even candidate (p, q) of x,
+    q = floor(p/x) + 1: frac(p/x) + frac(a/x) > 1.  The one body of the
+    divisor criterion, read from the floor memo F of x.
 
     The test runs on floors alone: the fractional parts sum to at least 1
     exactly when floor((p+a)/x) exceeds floor(p/x) + floor(a/x), and to
     exactly 1 when, besides, (p+a)/x is a whole number (floor equals
     ceiling), which only a rational x allows."""
-    both = floor_times(p + a, inv)
-    return (both >= q + floor_times(a, inv)
-            and both != -floor_times(-p - a, inv))
+    both = F[p + a]
+    return both >= q + F[a] and both != -F[-p - a]
 
 
-def realizable_as_q2(x, p: int) -> RealizationWitness | None:
-    """Divisor criterion for the even candidate (p, floor(p/x)+1): a
-    realizing two-step prefix exists iff some divisor a of p has
-    frac(p/x) + frac(a/x) > 1 (``_fires``).  Returns the constructed
-    witness or None."""
-    _at_least("p", p, 1)
-    x = _unit(x)
-    inv = 1 / x
-    q = floor_times(p, inv) + 1
+def _q2_witness(x: ExactReal, F: _Floors, p: int) -> RealizationWitness | None:
+    """The two-step witness of the first divisor of p that fires, checked,
+    or None."""
+    q = F[p] + 1
     for a in _divisors(p):
-        if _fires(inv, p, q, a):
-            b1 = floor_times(a, inv)
+        if _fires(F, p, q, a):
+            b1 = F[a]
             b2 = p // a
             a2 = q - b1 * b2
             if a2 < 1 or a2 > b2:
@@ -349,6 +368,16 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
                     f"constructed witness for p={p} does not expand from x")
             return witness
     return None
+
+
+def realizable_as_q2(x, p: int) -> RealizationWitness | None:
+    """Divisor criterion for the even candidate (p, floor(p/x)+1): a
+    realizing two-step prefix exists iff some divisor a of p has
+    frac(p/x) + frac(a/x) > 1 (``_fires``).  Returns the constructed
+    witness or None."""
+    _at_least("p", p, 1)
+    x = _unit(x)
+    return _q2_witness(x, _Floors(x), p)
 
 
 def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationWitness | None:
@@ -386,6 +415,16 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     return None
 
 
+def _cutoff(F: _Floors, p: int | None, q: int, even: bool) -> CutoffVerdict:
+    """The cutoff verdict for q, whose floor(qx) is p, read from the floor
+    memo F of x: the divisor criterion on the divisors p and 1 alone."""
+    if not even:
+        return CutoffVerdict.NOT_EVEN_CANDIDATE
+    if _fires(F, p, q, p) or _fires(F, p, q, 1):
+        return CutoffVerdict.GUARANTEED_REALIZABLE
+    return CutoffVerdict.UNDETERMINED
+
+
 def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     """Cheap sufficient test for even-candidate realizability.
 
@@ -398,19 +437,14 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     """
     x = _unit(x)
     p, even = _split_qx(x, _at_least("q", q, 1))
-    if not even:
-        return CutoffVerdict.NOT_EVEN_CANDIDATE
-    inv = 1 / x
-    if _fires(inv, p, q, p) or _fires(inv, p, q, 1):
-        return CutoffVerdict.GUARANTEED_REALIZABLE
-    return CutoffVerdict.UNDETERMINED
+    return _cutoff(_Floors(x), p, q, even)
 
 
-def _even_witness(x, p: int, bound: int | None, oracle: bool,
-                  where: str) -> RealizationWitness | None:
+def _even_witness(x: ExactReal, F: _Floors, p: int, bound: int | None,
+                  oracle: bool, where: str) -> RealizationWitness | None:
     """The divisor criterion's witness for the even candidate of p, or
     None; with ``oracle`` the brute-force search must agree on existence."""
-    witness = realizable_as_q2(x, p)
+    witness = _q2_witness(x, F, p)
     if oracle and (witness is None) != (
             realizable_as_q2_oracle(x, p, bound) is None):
         raise InvariantViolation(
@@ -420,23 +454,29 @@ def _even_witness(x, p: int, bound: int | None, oracle: bool,
 
 def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
                oracle: bool = False) -> list[dict]:
-    """Candidate classification rows for p = 1..p_max, two per p."""
+    """Candidate classification rows for p = 1..p_max, two per p, all
+    read from one floor memo."""
+    x = _unit(x)
+    _at_least("p_max", p_max, 1)
+    F = _Floors(x)
     rows = []
     for p in range(1, p_max + 1):
-        odd_witness = realize_odd(x, p)
-        q_odd = odd_witness.quotients[0].b  # floor(p/x)
+        q_odd = F[p]
+        odd_witness = _odd_witness(x, p, q_odd)
         rows.append({
             "x": x_text, "p": p, "q": q_odd, "parity": "odd",
             "realizable": True,
             "witness": _pairs_text(odd_witness.quotients), "cutoff": "",
         })
-        witness = _even_witness(x, p, bound, oracle, f"p={p}")
+        witness = _even_witness(x, F, p, bound, oracle, f"p={p}")
+        # (p, q_odd + 1) is an even candidate unless p/x is a whole number
+        even = -F[-p] != q_odd
         rows.append({
             "x": x_text, "p": p, "q": q_odd + 1, "parity": "even",
             "realizable": witness is not None,
             "witness": _pairs_text(witness.quotients)
             if witness is not None else "",
-            "cutoff": q2_cutoff_check(x, q_odd + 1).value,
+            "cutoff": _cutoff(F, p, q_odd + 1, even).value,
         })
     return rows
 
@@ -445,19 +485,22 @@ def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
                  bound: int | None = None, oracle: bool = False) -> list[dict]:
     """Candidate classification rows for q = q_min..q_max, one per q: both
     candidate numerators and the even side's realizability (None when q
-    has no even candidate)."""
+    has no even candidate), all read from one floor memo."""
+    x = _unit(x)
+    _at_least("q_min", q_min, 1)
+    F = _Floors(x)
     rows = []
     for q in range(q_min, q_max + 1):
         p_even, p_odd = candidate_p_for_q(x, q)
         witness = None if p_even is None else _even_witness(
-            x, p_even, bound, oracle, f"q={q}")
+            x, F, p_even, bound, oracle, f"q={q}")
         rows.append({
             "x": x_text, "q": q, "p_even": p_even, "p_odd": p_odd,
             "even_realizable": None if p_even is None
             else witness is not None,
             "witness": _pairs_text(witness.quotients)
             if witness is not None else "",
-            "cutoff": q2_cutoff_check(x, q).value,
+            "cutoff": _cutoff(F, p_even, q, p_even is not None).value,
         })
     return rows
 
@@ -466,17 +509,20 @@ def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
     """Where in (0,1) do realizable even candidates sit, measured by
     u = frac(qx)/x?  Data for the open region above the guaranteed cutoff
     max(1/2, frac(1/x)) on u; nothing is asserted here.  u = 1 (p/x a
-    whole number) falls in no bin."""
+    whole number) falls in no bin.
+
+    With q = floor(p/x) + 1, u = q - p/x, so p's bin floor(bins*u) is
+    bins*q + floor(-bins*p/x), read from the floor memo."""
     x = _unit(x)
     _at_least("p_max", p_max, 1)
     _at_least("bins", bins, 1)
     threshold = max(Rational(1, 2), gauss_map(x, 1))
+    F = _Floors(x)
     counts = [[0, 0] for _ in range(bins)]
     for p in range(1, p_max + 1):
-        _, q = candidate_q_for_p(x, p)
-        i = floor_times(bins, frac_part(q * x) / x)
+        i = bins * (F[p] + 1) + F[-bins * p]
         if i < bins:
-            counts[i][0 if realizable_as_q2(x, p) is not None else 1] += 1
+            counts[i][0 if _q2_witness(x, F, p) is not None else 1] += 1
     return [{
         "bin_low": i / bins, "bin_high": (i + 1) / bins,
         "realizable": counts[i][0], "unrealizable": counts[i][1],

@@ -341,7 +341,7 @@ def cmd_classify(args):
     if args.p is not None:
         low, high = _parse_range(args.p)
         # the sweep starts at p = 1: starting it at low would change what
-        # the classify benchmark measures (ROADMAP.md, item 6)
+        # the classify benchmark measures (ROADMAP.md, item 8)
         rows = [_text_row(row) for row in sweep_rows(
             x, x_text, high, bound=args.bound, oracle=args.oracle)
             if row["p"] >= low]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from propcf import candidates
 from propcf.candidates import (
     BoundTooSmall,
     CutoffVerdict,
@@ -295,11 +296,20 @@ def test_witness_verify_rejects():
     assert not w.verify(sqrt_exact(2) - 1, 3, 5)
 
 
+def _sweep_by_p(x, p_max):
+    return sweep_rows(x, "", p_max)
+
+
+def _sweep_by_q(x, q_min):
+    return sweep_q_rows(x, "", q_min, q_min + 5)
+
+
 # every function of x and one count, with x checked by exactreal._unit
 _X_SEARCHES = [realizable_as_q2, realizable_as_q2_oracle, candidate_q_for_p,
                realize_odd, candidate_p_for_q, q2_cutoff_check,
                fractional_part_characterization, gauss_map, pcf_step,
-               rayleigh_partition_check, cutoff_margin_survey]
+               rayleigh_partition_check, cutoff_margin_survey, _sweep_by_p,
+               _sweep_by_q]
 
 
 @pytest.mark.parametrize("search", _X_SEARCHES)
@@ -313,6 +323,15 @@ def test_realizability_rejects_x_outside_unit_interval(search, x):
 def test_realizability_rejects_float_x(search):
     with pytest.raises(TypeError):
         search(0.5, 6)
+
+
+def test_sweeps_check_their_input_before_any_row():
+    # x is checked even when the range holds no row
+    with pytest.raises(ValueError, match="x must lie strictly between"):
+        sweep_rows(Fraction(3, 2), "", 0)
+    with pytest.raises(ValueError, match="x must lie strictly between"):
+        sweep_q_rows(Rational(1), "", 5, 4)
+    assert sweep_q_rows(GOLDEN, "", 5, 4) == []
 
 
 # (call with the count argument, its least value): a float, a bool and an
@@ -330,6 +349,8 @@ _COUNT_CALLS = {
     "cutoff_margin_survey-bins": (
         lambda n: cutoff_margin_survey(GOLDEN, 10, bins=n), 1),
     "pcf_step": (lambda a: pcf_step(Rational(1, 2), a), 1),
+    "sweep_rows-p_max": (lambda n: sweep_rows(GOLDEN, "", n), 1),
+    "sweep_q_rows-q_min": (lambda n: sweep_q_rows(GOLDEN, "", n, 5), 1),
 }
 
 
@@ -497,6 +518,24 @@ def test_sweeps_by_p_and_by_q_agree(spec):
     # even one whose denominator does
     assert p_odd_seen == list(range(1, p_max + 1))
     assert p_even_seen == [p for p, row in even.items() if row["q"] <= q_max]
+
+
+def test_sweep_takes_each_floor_once(monkeypatch):
+    # the rows of p = 1..300 read floors of n/x for |n| up to about 600
+    # from one memo, each taken once; per row through the public per-p
+    # functions they would cost more than 13 per p
+    calls = [0]
+    floor = candidates.floor_times
+
+    def counting(n, v):
+        calls[0] += 1
+        return floor(n, v)
+
+    monkeypatch.setattr(candidates, "floor_times", counting)
+    for x in (GOLDEN, Rational(2, 7)):
+        calls[0] = 0
+        sweep_rows(x, "", 300)
+        assert 0 < calls[0] <= 6 * 300, x
 
 
 def test_cutoff_margin_survey_shape():

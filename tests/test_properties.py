@@ -8,8 +8,9 @@ convergents against the eager recurrence, exact orbits against a
 plain-``Fraction`` step loop and the identity |q_n x - p_n| = x_0 ... x_n,
 the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
-against ``ConvergentSeq``, and the CLI's JSON writer against
-``json.dumps``."""
+against ``ConvergentSeq``, the classification sweeps' shared floor memo
+against the public per-p functions and the brute-force oracle, and the
+CLI's JSON writer against ``json.dumps``."""
 from __future__ import annotations
 
 import contextlib
@@ -24,6 +25,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propcf import cli
+from propcf.candidates import (
+    candidate_p_for_q,
+    q2_cutoff_check,
+    realizable_as_q2,
+    realizable_as_q2_oracle,
+    realize_odd,
+    sweep_q_rows,
+    sweep_rows,
+)
 from propcf.exactreal import (
     GOLDEN,
     Rational,
@@ -515,6 +525,73 @@ def test_expand_rows_match_convergent_reference(spec, numerators):
             "n": str(n), "a": str(a), "b": str(expansion.digits()[n - 1]),
             "p": str(p), "q": str(q), "reduced": to_text(Rational(p, q)),
             "det_residual": "0", "margin": to_text(x - abs(q * x - p))}
+
+
+# ---------------------------------------------------------------------------
+# the classification sweeps
+
+
+_REDUCED = [Rational(t, s) for s in range(2, 40) for t in range(1, s)
+            if math.gcd(t, s) == 1]
+
+
+def _witness_text(witness) -> str:
+    if witness is None:
+        return ""
+    return " ".join(f"{q.a}/{q.b}" for q in witness.quotients)
+
+
+def _p_rows_by_reference(x, p_max: int) -> list[dict]:
+    """sweep_rows' rows rebuilt one p at a time from the public functions,
+    each of which takes its own floors."""
+    rows = []
+    for p in range(1, p_max + 1):
+        odd = realize_odd(x, p)
+        q = odd.quotients[0].b
+        even = realizable_as_q2(x, p)
+        rows.append({"x": "x", "p": p, "q": q, "parity": "odd",
+                     "realizable": True, "witness": _witness_text(odd),
+                     "cutoff": ""})
+        rows.append({"x": "x", "p": p, "q": q + 1, "parity": "even",
+                     "realizable": even is not None,
+                     "witness": _witness_text(even),
+                     "cutoff": q2_cutoff_check(x, q + 1).value})
+    return rows
+
+
+def _q_rows_by_reference(x, q_min: int, q_max: int) -> list[dict]:
+    rows = []
+    for q in range(q_min, q_max + 1):
+        p_even, p_odd = candidate_p_for_q(x, q)
+        even = None if p_even is None else realizable_as_q2(x, p_even)
+        rows.append({"x": "x", "q": q, "p_even": p_even, "p_odd": p_odd,
+                     "even_realizable": None if p_even is None
+                     else even is not None,
+                     "witness": _witness_text(even),
+                     "cutoff": q2_cutoff_check(x, q).value})
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_REDUCED)
+       | st.sampled_from(_FIELD_SPECS).map(parse_exact),
+       st.integers(1, 120), st.integers(0, 120))
+@example(Rational(3, 7), 1, 120)     # p/x whole for every third p
+@example(GOLDEN, 60, 60)
+def test_sweeps_match_per_p_references_and_oracle(x, low, width):
+    by_p = sweep_rows(x, "x", low + width)
+    assert by_p == _p_rows_by_reference(x, low + width)
+    by_q = sweep_q_rows(x, "x", low, low + width)
+    assert by_q == _q_rows_by_reference(x, low, low + width)
+    # the brute force over two-step prefixes agrees on existence
+    for row in by_p[1::2]:
+        if row["cutoff"] != "not_even_candidate":
+            found = realizable_as_q2_oracle(x, row["p"]) is not None
+            assert found == row["realizable"], row
+    for row in by_q:
+        if row["p_even"] is not None:
+            found = realizable_as_q2_oracle(x, row["p_even"]) is not None
+            assert found == row["even_realizable"], row
 
 
 # ---------------------------------------------------------------------------
