@@ -5,9 +5,13 @@ A pair of positive integers (p, q) is a *candidate* for x when
 when p/q < x (matching the parity of the index a convergent equal to it
 would need).  Odd candidates are always realizable in one step; even
 candidates are governed by a divisor criterion on p, checked here both
-through that criterion and through a brute-force search over two-step
-prefixes.  The cheap cutoff ``q2_cutoff_check`` is that criterion on the
-divisors 1 and p alone, so it is exact whenever p is 1 or a prime.  Every
+through that criterion and through an exhaustive search over two-step
+prefixes.  The search is exhaustive because each divisor a of p forces its
+prefix: b_2 = p/a, and q_2 = q leaves one numerator a_2.  Both paths build
+that prefix with ``_forced_prefix``; the criterion accepts a divisor from
+the floor memo, the search by the digit rule on the actual remainder.  The
+cheap cutoff ``q2_cutoff_check`` is that criterion on the divisors 1 and p
+alone, so it is exact whenever p is 1 or a prime.  Every criterion
 decision is a comparison of floors floor(n/x): a sweep takes each of them
 once, from one memo (``_Floors``) that the odd digit, the criterion
 (``_fires``) and the cutoff read, and each public per-p function builds a
@@ -87,12 +91,15 @@ class RealizationWitness:
 
 
 def _remainders(x, quotients) -> list[ExactReal] | None:
-    """x_0..x_N along the digit pairs, each step checked by ``pcf_step``,
-    or None as soon as a digit does not expand from x."""
+    """x_0..x_N along the digit pairs, or None as soon as a digit does not
+    expand from x: a wrong digit, or a zero remainder (the expansion of x
+    has ended) before the pairs do."""
     rem = _unit(x)
     out = [rem]
     for quot in quotients:
-        b, rem = pcf_step(rem, quot.a)
+        if is_zero(rem):
+            return None
+        b, rem = _digit(rem, quot.a)
         if b != quot.b:
             return None
         out.append(rem)
@@ -349,20 +356,31 @@ def _fires(F: _Floors, p: int, q: int, a: int) -> bool:
     return both >= q + F[a] and both != -F[-p - a]
 
 
+def _forced_prefix(a: int, b1: int, p: int, q: int,
+                   cap: int | None) -> RealizationWitness | None:
+    """The one two-step prefix that the divisor a of p allows for the pair
+    (p, q), given its first digit b1 = floor(a/x): p_2 = a*b_2 forces
+    b_2 = p/a, and q_2 = b_1*b_2 + a_2 = q forces a_2 = q - b_1*b_2.  None
+    unless 1 <= a_2 <= min(b_2, cap); whether a_2 expands from the first
+    remainder is the caller's test."""
+    b2 = p // a
+    a2 = q - b1 * b2
+    if not 1 <= a2 <= (b2 if cap is None else min(b2, cap)):
+        return None
+    return RealizationWitness(
+        (PartialQuotient(a, b1), PartialQuotient(a2, b2)), 2)
+
+
 def _q2_witness(x: ExactReal, F: _Floors, p: int) -> RealizationWitness | None:
-    """The two-step witness of the first divisor of p that fires, checked,
-    or None."""
+    """The forced prefix of the first divisor of p that fires, checked, or
+    None."""
     q = F[p] + 1
     for a in _divisors(p):
         if _fires(F, p, q, a):
-            b1 = F[a]
-            b2 = p // a
-            a2 = q - b1 * b2
-            if a2 < 1 or a2 > b2:
+            witness = _forced_prefix(a, F[a], p, q, None)
+            if witness is None:
                 raise InvariantViolation(
                     f"divisor {a} of {p} produced digit data outside range")
-            witness = RealizationWitness(
-                (PartialQuotient(a, b1), PartialQuotient(a2, b2)), 2)
             if not witness.verify(x, p, q):
                 raise InvariantViolation(
                     f"constructed witness for p={p} does not expand from x")
@@ -381,12 +399,15 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
 
 
 def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationWitness | None:
-    """Brute-force search over all valid two-step prefixes with p_2 == p.
+    """Exhaustive search over the two-step prefixes with p_2 == p.
 
     Independent of any divisor criterion: p_2 = a_1 * b_2 forces a_1 | p
-    and b_2 = p/a_1; every numerator a_2 in [1, min(b_2, bound)] is tried
-    against the digit rule.  Raises BoundTooSmall when a truncated range
-    found nothing (absence unproven).
+    and b_2 = p/a_1, and q_2 = q then forces a_2, so each divisor has one
+    prefix (``_forced_prefix``), tried against the digit rule
+    floor(a_2/x_1) == b_2 on the actual remainder x_1.  A divisor whose
+    b_2 exceeds ``bound`` and whose x_1 is nonzero truncates the search;
+    BoundTooSmall is raised when a truncated search found nothing (absence
+    unproven).
     """
     _at_least("p", p, 1)
     x = _unit(x)
@@ -396,18 +417,12 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
         b1, x1 = _digit(x, a1)
         if is_zero(x1):
             continue  # terminated: no second digit exists on this branch
-        b2 = p // a1
-        inv1 = 1 / x1
-        hi = b2 if bound is None else min(b2, bound)
-        if hi < b2:
-            truncated = True
-        for a2 in range(1, hi + 1):
-            if floor_times(a2, inv1) != b2:
-                continue
-            if b1 * b2 + a2 != q:
-                continue
-            return RealizationWitness(
-                (PartialQuotient(a1, b1), PartialQuotient(a2, b2)), 2)
+        truncated = truncated or (bound is not None and p // a1 > bound)
+        witness = _forced_prefix(a1, b1, p, q, bound)
+        if witness is not None:
+            second = witness.quotients[1]
+            if _digit(x1, second.a)[0] == second.b:
+                return witness
     if truncated:
         raise BoundTooSmall(
             f"no witness for p={p} within numerator bound {bound}; "
@@ -443,7 +458,7 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
 def _even_witness(x: ExactReal, F: _Floors, p: int, bound: int | None,
                   oracle: bool, where: str) -> RealizationWitness | None:
     """The divisor criterion's witness for the even candidate of p, or
-    None; with ``oracle`` the brute-force search must agree on existence."""
+    None; with ``oracle`` the exhaustive search must agree on existence."""
     witness = _q2_witness(x, F, p)
     if oracle and (witness is None) != (
             realizable_as_q2_oracle(x, p, bound) is None):

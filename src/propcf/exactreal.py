@@ -640,9 +640,10 @@ def _tokenize(text):
 class _Parser:
     """Tiny recursive-descent evaluator over exact values.
 
-    grammar:  expr := ['-'] term (('+'|'-') term)*
+    grammar:  expr := term (('+'|'-') term)*
               term := factor (('*'|'/') factor)*
               factor := INT | DECIMAL | 'golden' | sqrt-form | '(' expr ')'
+                      | '-' factor
               sqrt-form := 'sqrt' (INT | '(' expr ')')
 
     A name token is letters alone, so "sqrt5" scans as 'sqrt' INT.
@@ -664,14 +665,7 @@ class _Parser:
         return v, pos
 
     def expr(self):
-        negate = False
-        k, v, _ = self.peek()
-        if k == "op" and v == "-":
-            self.take()
-            negate = True
         node = self.term()
-        if negate:
-            node = -node
         while True:
             k, v, _ = self.peek()
             if k == "op" and v in "+-":

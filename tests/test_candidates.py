@@ -296,6 +296,17 @@ def test_witness_verify_rejects():
     assert not w.verify(sqrt_exact(2) - 1, 3, 5)
 
 
+def test_digits_past_the_end_of_a_rational_expansion_do_not_belong():
+    # 1/2 = [1/2] ends after one digit: a second digit has no remainder
+    # to expand from, so the pairs are refused, not the remainder 0
+    half = Rational(1, 2)
+    w = RealizationWitness((PartialQuotient(1, 2), PartialQuotient(1, 1)), 2)
+    assert w.verify(half, 1, 2) is False
+    longer = PCFExpansion.from_pairs([(1, 2), (1, 1), (1, 1)])
+    with pytest.raises(ValueError, match="^expansion does not belong to this x$"):
+        push_down_index(half, longer, 1)
+
+
 def _sweep_by_p(x, p_max):
     return sweep_rows(x, "", p_max)
 

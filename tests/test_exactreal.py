@@ -325,6 +325,60 @@ def test_parse_errors_carry_position():
             parse_exact(text)
 
 
+# A minus sign is one grammar rule, '-' factor: it binds tighter than * and
+# /, and these values and errors pin what every leading, doubled or inner
+# minus reads as.
+@pytest.mark.parametrize("text, value", [
+    ("--1", "1"),
+    ("-2*3", "-6"),
+    ("3*-2", "-6"),
+    ("-(-3)", "3"),
+    ("-3", "-3"),
+    ("-1/2", "-1/2"),
+    ("- 1/2", "-1/2"),
+    ("-golden", "(1-sqrt(5))/2"),
+    ("-sqrt5", "-sqrt(5)"),
+    ("-(sqrt5-1)/2", "(1-sqrt(5))/2"),
+    ("-sqrt(5)+3", "3-sqrt(5)"),
+    ("1--1", "2"),
+    ("1-(-1)", "2"),
+    ("-1-1", "-2"),
+    ("---2", "-2"),
+    ("-0.5", "-1/2"),
+    ("-0", "0"),
+    ("2/-3", "-2/3"),
+    ("-2/-3", "2/3"),
+    ("-(1-sqrt2)*(1+sqrt2)", "1"),
+])
+def test_parse_minus_values(text, value):
+    assert to_text(parse_exact(text)) == value
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("-", "unexpected end of input (at position 1)", 1),
+    ("   -  ", "unexpected end of input (at position 6)", 6),
+    ("-2**2", "unexpected '*' (at position 3)", 3),
+    ("-(", "unexpected end of input (at position 2)", 2),
+    ("-)", "unexpected ')' (at position 1)", 1),
+    ("-sqrt", "expected (, found 'end of input' (at position 5)", 5),
+    ("-foo", "unknown name 'foo' (at position 1)", 1),
+    ("-1 2", "trailing input '2' (at position 3)", 3),
+    ("+1", "unexpected '+' (at position 0)", 0),
+    ("-sqrt(2)-", "unexpected end of input (at position 9)", 9),
+    ("-sqrt2*sqrt3", "cannot evaluate '-sqrt2*sqrt3': sqrt(2) and sqrt(3) "
+     "do not mix exactly", None),
+    ("-sqrt2+sqrt3", "cannot evaluate '-sqrt2+sqrt3': sqrt(2) and sqrt(3) "
+     "do not mix exactly", None),
+    ("-sqrt2*sqrt3*sqrt5", "cannot evaluate '-sqrt2*sqrt3*sqrt5': sqrt(2) "
+     "and sqrt(3) do not mix exactly", None),
+    ("-1/0", "cannot evaluate '-1/0': division by exact zero", None),
+])
+def test_parse_minus_errors(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_exact(text)
+    assert (str(err.value), err.value.pos) == (message, pos)
+
+
 def test_equality_and_hashing():
     assert Rational(1, 2) == Fraction(1, 2)
     assert Rational(3) == 3

@@ -149,3 +149,26 @@ def test_integer_square_roots_have_four_callers():
                      ("exactreal.py", "_digit"),
                      ("exactreal.py", "_squarefree_decompose"),
                      ("exactreal.py", "Surd.__float__")}
+
+
+def test_oracle_never_reads_the_criterion():
+    """``realizable_as_q2_oracle`` is the reference for the divisor
+    criterion, so neither it nor any candidates function it calls, however
+    deep, may name the criterion's body, its floor memo, its witness or the
+    cutoff built on it."""
+    tree = ast.parse((PACKAGE / "candidates.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    criterion = {"_fires", "_Floors", "_q2_witness", "_cutoff"}
+    seen, todo, named = set(), ["realizable_as_q2_oracle"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = {node.id for node in ast.walk(bodies[name])
+                 if isinstance(node, ast.Name)}
+        named |= names
+        todo.extend((names & bodies.keys()) - criterion)
+    assert "_forced_prefix" in seen
+    assert named & criterion == set()
