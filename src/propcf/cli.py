@@ -15,9 +15,12 @@ and its tables with every cell already text, then ``_emit``.  JSON text
 comes from ``_json_text`` alone, byte-identical to ``json.dumps(doc,
 indent=2, sort_keys=True)``: a top-level table of string cells is written
 from one template per table instead of through the pure-Python encoder
-that ``indent`` selects.  The common flags --seed, --format and --out can
-also be set through the environment (PROPCF_SEED, PROPCF_FORMAT,
-PROPCF_OUT); an explicit flag wins over the environment.
+that ``indent`` selects.  CSV text comes from ``_csv_text`` alone,
+byte-identical to ``csv.writer``: a table whose cells need no quoting is
+written by one join, and any other table by the writer.  The common flags
+--seed, --format and --out can also be set through the environment
+(PROPCF_SEED, PROPCF_FORMAT, PROPCF_OUT); an explicit flag wins over the
+environment.
 """
 
 from __future__ import annotations
@@ -176,6 +179,28 @@ def _text_row(row: dict) -> dict:
 
 
 def _csv_text(header: list[str], rows: list[dict]) -> str:
+    """Exactly the bytes of ``csv.writer(lineterminator="\\n")`` writing
+    ``header`` and then each row's cells in header order.
+
+    A table of two or more columns is written by one join and kept when no
+    cell holds a character the writer would quote: no ``"`` and no ``\\r``
+    anywhere, and no newline or comma beyond the ones the join put in.
+    Every other table (one column, where a lone empty cell prints as
+    ``""``, a missing key or a non-``str`` cell) goes through the writer.
+    """
+    if len(header) > 1:
+        try:
+            text = "\n".join([",".join(header),
+                              *map(",".join, map(itemgetter(*header), rows)),
+                              ""])
+        except (KeyError, TypeError):
+            pass
+        else:
+            lines = len(rows) + 1
+            if ('"' not in text and "\r" not in text
+                    and text.count("\n") == lines
+                    and text.count(",") == lines * (len(header) - 1)):
+                return text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -710,6 +710,8 @@ class _Parser:
                 self.take("op", ")")
                 if not isinstance(inner, Rational):
                     raise ParseError("nested radicals are not supported", npos)
+                if inner.num < 0:
+                    raise ParseError("negative radicand", npos)
                 return sqrt_exact(inner)
             raise ParseError(f"unknown name {v!r}", pos)
         if k == "op" and v == "(":
@@ -728,8 +730,8 @@ def parse_exact(text: str) -> ExactReal:
     or "(3-sqrt(17))/2", and the alias "golden".
 
     Text that scans but cannot be evaluated exactly (a division by zero,
-    or surds from two quadratic fields in one sum or product) is a
-    ``ParseError`` too.
+    the square root of a negative number, or surds from two quadratic
+    fields in one sum or product) is a ``ParseError`` too.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty input", 0)

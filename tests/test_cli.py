@@ -357,6 +357,19 @@ _PINNED_OUTPUT = (
     pytest.param(("rational", "5/6", "--len", "40"),
                  "664bde1beef9deaeeb74a9fb435116eebdefcdabd769feb9e494b78caf73825d",
                  id="rational-empty-json"),
+    # two "# name" sections on stdout
+    pytest.param(("simulate", "--n", "60", "--orbits", "3", "--seed", "5",
+                  "--format", "csv"),
+                 "58a36954dc57e078eb3601f7006330197a93a91d4c0815a3c370a5beec5a6bc4",
+                 id="simulate-csv"),
+    # the header line alone
+    pytest.param(("rational", "5/6", "--len", "40", "--format", "csv"),
+                 "38c576900a91d779369735c84273b1754852df70d95834fb7bd31ad539dcde9f",
+                 id="rational-empty-csv"),
+    # one row
+    pytest.param(("growth", "--n", "100", "--seed", "2", "--format", "csv"),
+                 "af039884a68ea6decd421d065bccae0f174cbdd4d593f74223e042b162a8a66a",
+                 id="growth-csv"),
 )
 
 
@@ -365,6 +378,37 @@ def test_output_bytes_pinned(capsys, argv, digest):
     code, out = run_main(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _WriterReached(Exception):
+    pass
+
+
+def _refuse_writer(*args, **kwargs):
+    raise _WriterReached
+
+
+@pytest.mark.parametrize("name", ("rational-csv", "expand-sqrt2-csv",
+                                  "simulate-csv"))
+def test_plain_csv_tables_take_the_join(capsys, monkeypatch, name):
+    # no cell of these tables needs quoting, so csv.writer is never called
+    # and the join alone prints the pinned bytes
+    (argv, digest), = [param.values for param in _PINNED_OUTPUT
+                       if param.id == name]
+    monkeypatch.setattr(cli.csv, "writer", _refuse_writer)
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_cells_that_need_quoting_reach_the_writer(monkeypatch):
+    monkeypatch.setattr(cli.csv, "writer", _refuse_writer)
+    for header, rows in ((["a", "b"], [{"a": "1,2", "b": "3"}]),
+                         (["a", "b"], [{"a": "say \"hi\"", "b": ""}]),
+                         (["a", "b"], [{"a": "two\nlines", "b": ""}]),
+                         (["a"], [{"a": ""}])):
+        with pytest.raises(_WriterReached):
+            cli._csv_text(header, rows)
 
 
 def test_parse_failures_exit_code(capsys):
@@ -376,6 +420,14 @@ def test_parse_failures_exit_code(capsys):
     for spec in ("1/0", "sqrt2+sqrt3-3"):
         code, _ = run_main(capsys, "expand", spec, "--numerators", "all:1")
         assert code == cli.EXIT_PARSE
+
+
+def test_negative_radicand_error_names_its_position(capsys):
+    for spec in ("sqrt(-4)", "sqrt(0-4)"):
+        code = cli.main(["expand", spec, "--numerators", "all:1"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: negative radicand (at position 4)\n")
 
 
 def test_unknown_subcommand_exit_code():

@@ -372,11 +372,23 @@ def test_parse_minus_values(text, value):
     ("-sqrt2*sqrt3*sqrt5", "cannot evaluate '-sqrt2*sqrt3*sqrt5': sqrt(2) "
      "and sqrt(3) do not mix exactly", None),
     ("-1/0", "cannot evaluate '-1/0': division by exact zero", None),
+    # a negative radicand is refused where its parenthesis opens, as a
+    # nested radical is
+    ("sqrt(-4)", "negative radicand (at position 4)", 4),
+    ("sqrt(0-4)", "negative radicand (at position 4)", 4),
 ])
 def test_parse_minus_errors(text, message, pos):
     with pytest.raises(ParseError) as err:
         parse_exact(text)
     assert (str(err.value), err.value.pos) == (message, pos)
+
+
+def test_sqrt_exact_keeps_its_value_error():
+    # only text is a ParseError; a direct call with a negative number is not
+    with pytest.raises(ValueError) as err:
+        sqrt_exact(-4)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "negative radicand"
 
 
 def test_equality_and_hashing():

@@ -2,8 +2,9 @@
 part of propcf, or a runtime dependency declared in pyproject.toml, the
 CLI starts without importing numpy, every module parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
-four order comparisons share one body, and only the floor, the step and
-the two square-root routines take integer square roots."""
+four order comparisons share one body, only the floor, the step and
+the two square-root routines take integer square roots, and only cli's
+``_csv_text`` writes CSV."""
 
 import ast
 import os
@@ -172,3 +173,30 @@ def test_oracle_never_reads_the_criterion():
         todo.extend((names & bodies.keys()) - criterion)
     assert "_forced_prefix" in seen
     assert named & criterion == set()
+
+
+def test_csv_has_one_writer():
+    """Only cli imports csv, and only ``cli._csv_text`` calls
+    ``csv.writer``: every CSV table, on stdout or in an --out file, has
+    one body."""
+    imports, callers = [], set()
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.partition(".")[0] == "csv" for alias in node.names):
+            imports.append((path.name, "import csv"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            imports.append((path.name, "from csv import"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and getattr(node.value, "id", None) == "csv"):
+            callers.add((path.name, ".".join(scope) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, ())
+    assert imports == [("cli.py", "import csv")]
+    assert callers == {("cli.py", "_csv_text")}

@@ -10,10 +10,12 @@ the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, the classification sweeps' shared floor memo
 against the public per-p functions and the brute-force oracle, and the
-CLI's JSON writer against ``json.dumps``."""
+CLI's JSON writer against ``json.dumps`` and its CSV writer against
+``csv.writer``."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -659,3 +661,56 @@ def test_json_text_writes_tables_and_leaves_the_rest_to_json(table, broken):
     assert cli._table_parts(broken) is None
     doc = {"rows": table, "broken": broken, "n": 3}
     assert cli._json_text(doc) == _dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+
+def _writer_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([row[col] for col in header])
+    return buf.getvalue()
+
+
+# plain cells, which the join writes, and every cell the writer quotes or
+# must see: delimiter, quote, both line ends, empty, non-ASCII and U+2028
+_CSV_TEXT = (st.text("ab1/ .-", max_size=6) | st.text(max_size=8)
+             | st.sampled_from((",", '"', "\r", "\n", "\r\n", "", "a,b",
+                                'x"y', "π/√5", "\u2028", "é\u2028")))
+_CSV_CELLS = _CSV_TEXT | st.integers() | st.none() | st.floats()
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header of one column or many and 0-6 rows; a row may lack a key."""
+    header = draw(st.lists(_CSV_TEXT, min_size=1, max_size=5, unique=True))
+    cells = _CSV_TEXT if draw(st.booleans()) else _CSV_CELLS
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {key: cells for key in header}), max_size=6))
+    if rows and draw(st.integers(0, 9)) == 0:
+        del draw(st.sampled_from(rows))[draw(st.sampled_from(header))]
+    return header, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_tables())
+@example((["a"], [{"a": ""}, {"a": "x"}]))
+@example((["a", "b"], []))
+@example((["a"], []))
+@example((["a", "b"], [{"a": "1", "b": 2}, {"a": None, "b": 0.5}]))
+@example((["a", "b"], [{"a": "1"}]))
+@example((["a", "b"], [{"a": "\r\n", "b": ""}, {"a": "", "b": ""}]))
+def test_csv_text_matches_csv_writer(table):
+    header, rows = table
+    try:
+        expected = _writer_text(header, rows)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as err:
+            cli._csv_text(header, rows)
+        assert err.value.args == exc.args
+    else:
+        assert cli._csv_text(header, rows) == expected
