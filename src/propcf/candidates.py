@@ -611,12 +611,12 @@ def lift_index_search(a_prime: int, b_prime: int, x_prime,
                 if a_k2 > b_k2:
                     continue
                 for a_k1 in range(1, b_k1 + 1):
+                    # a_k1 * b_k2 < merge <= b_prime / a_k, so rest > 0 and
+                    # a whole rest / merge is at least a_k
                     rest = b_prime - a_k1 * b_k2
-                    if rest <= 0 or rest % merge:
+                    if rest % merge:
                         continue
                     b_k = rest // merge
-                    if b_k < a_k:
-                        continue
                     ceiling = Rational(a_k1 * a_k2, b_k1 * (b_k2 + 1) + a_k2)
                     if x_prime < ceiling:
                         sols.append((a_k, a_k1, a_k2, b_k, b_k1, b_k2))

@@ -389,6 +389,15 @@ def cmd_classify(args):
     return doc, [("candidates", header, rows)]
 
 
+# the GrowthReport fields that simulate and growth both print, in order
+_GROWTH_CELLS = ["estimate", "trend_slope", "oscillation", "reliable",
+                 "truncated"]
+
+
+def _growth_cells(report) -> dict:
+    return {name: getattr(report, name) for name in _GROWTH_CELLS}
+
+
 def cmd_simulate(args):
     y = parse_x_spec(args.y)
     n = args.n
@@ -408,11 +417,7 @@ def cmd_simulate(args):
             "seed": args.seed,
             "n": n,
             "steps": record.steps,
-            "estimate": report.estimate,
-            "trend_slope": report.trend_slope,
-            "oscillation": report.oscillation,
-            "reliable": report.reliable,
-            "truncated": report.truncated,
+            **_growth_cells(report),
             "terminated_by": record.terminated_by,
         }))
     total = sum(visits.values())
@@ -431,8 +436,8 @@ def cmd_simulate(args):
         "digests": digests,
         "frequencies": frequencies,
     }
-    digest_header = ["orbit", "seed", "n", "steps", "estimate", "trend_slope",
-                     "oscillation", "reliable", "truncated", "terminated_by"]
+    digest_header = ["orbit", "seed", "n", "steps", *_GROWTH_CELLS,
+                     "terminated_by"]
     freq_header = ["a", "b", "count", "frequency"]
     return doc, [("digests", digest_header, digests),
                  ("frequencies", freq_header, frequencies)]
@@ -454,16 +459,10 @@ def cmd_growth(args):
     row = _text_row({
         "n": n,
         "steps": report.steps,
-        "estimate": report.estimate,
-        "trend_slope": report.trend_slope,
-        "oscillation": report.oscillation,
-        "reliable": report.reliable,
-        "truncated": report.truncated,
+        **_growth_cells(report),
     })
     doc.update(row)
-    header = ["n", "steps", "estimate", "trend_slope", "oscillation",
-              "reliable", "truncated"]
-    return doc, [("growth", header, [row])]
+    return doc, [("growth", ["n", "steps", *_GROWTH_CELLS], [row])]
 
 
 def cmd_yofx(args):

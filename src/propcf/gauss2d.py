@@ -278,7 +278,11 @@ class GrowthReport:
     ``oscillation`` is the worst deviation of the same quantity over the
     final quarter of the orbit, and ``trend_slope`` the least-squares
     slope of (log q_k)/k over the final half — both near zero when the
-    orbit has settled.
+    orbit has settled.  The slope is nan below two points; it is taken
+    from sums through ``math.fsum``, each rounded once, so it does not
+    depend on the summation order.  k is centred on its mean and each
+    value shifted by the middle sample's, so the slope of two consecutive
+    samples is the correctly rounded difference of their values.
     """
 
     estimate: float
@@ -310,11 +314,10 @@ def growth_exponent(x0, y0, n: int, record: OrbitRecord | None = None) -> Growth
     oscillation = max(abs(math.exp(v) - estimate) for _, v in quarter)
     half = samples[len(samples) // 2:]
     if len(half) >= 2:
-        import numpy as np  # lazily: it is most of the CLI's import time
-
-        ks = np.array([k for k, _ in half], dtype=float)
-        vs = np.array([v for _, v in half], dtype=float)
-        trend_slope = float(np.polyfit(ks, vs, 1)[0])
+        mean_k = math.fsum(k for k, _ in half) / len(half)
+        pivot = half[len(half) // 2][1]
+        trend_slope = (math.fsum((k - mean_k) * (v - pivot) for k, v in half)
+                       / math.fsum((k - mean_k) * (k - mean_k) for k, _ in half))
     else:
         trend_slope = math.nan
     reliable = (not record.truncated and record.steps >= _MIN_RELIABLE_STEPS

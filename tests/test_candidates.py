@@ -673,6 +673,53 @@ def test_lift_truncation_flag():
     assert res.truncated and res.solutions == ()
 
 
+def _guarded_lift_search(a_prime, b_prime, x_prime, bound=None):
+    """``lift_index_search`` as it was written with the guards ``rest <= 0``
+    and ``b_k < a_k``, which no input reaches: a_k1 * b_k2 is below the
+    merge factor D = a_prime / a_k <= b_prime / a_k."""
+    sols = []
+    truncated = False
+    for a_k in range(1, a_prime + 1):
+        if a_prime % a_k:
+            continue
+        merge = a_prime // a_k
+        if merge < 2:
+            continue
+        if bound is not None and merge > bound:
+            truncated = True
+            continue
+        for b_k2 in range(1, merge):
+            for b_k1 in range(1, (merge - 1) // b_k2 + 1):
+                a_k2 = merge - b_k1 * b_k2
+                if a_k2 > b_k2:
+                    continue
+                for a_k1 in range(1, b_k1 + 1):
+                    rest = b_prime - a_k1 * b_k2
+                    if rest <= 0 or rest % merge:
+                        continue
+                    b_k = rest // merge
+                    if b_k < a_k:
+                        continue
+                    ceiling = Rational(a_k1 * a_k2, b_k1 * (b_k2 + 1) + a_k2)
+                    if x_prime < ceiling:
+                        sols.append((a_k, a_k1, a_k2, b_k, b_k1, b_k2))
+    return tuple(sols), truncated
+
+
+@pytest.mark.parametrize("x_prime", ["0", "1/7", "5/8", "sqrt2-1", "golden"])
+def test_lift_search_matches_the_guarded_loop(x_prime):
+    x_prime = parse_exact(x_prime)
+    found = 0
+    for a_prime in range(1, 41):
+        for b_prime in range(a_prime, 3 * a_prime + 1):
+            for bound in (None, 1, 3):
+                res = lift_index_search(a_prime, b_prime, x_prime, bound)
+                assert (res.solutions, res.truncated) == _guarded_lift_search(
+                    a_prime, b_prime, x_prime, bound)
+                found += len(res.solutions)
+    assert found > 0
+
+
 def test_tail_domain_has_one_check():
     # an expansion's tail and a lift's x' take the same [0, 1) check
     for v in (Rational(-1, 2), 1, Fraction(3, 2), 1 - GOLDEN + 1):

@@ -4,8 +4,8 @@ Each demo runs as a script with its default flags, in a fresh
 interpreter, and its stdout is compared with a recorded sha256.  A
 change that moves one digit, one float or one line of a demo's output
 fails here; if the output is meant to change, record the new digest.
-The growth trend slopes and the Monte Carlo table come from numpy, so
-another numpy or BLAS build may print other bytes there.
+The Monte Carlo table comes from numpy's generator, so another numpy
+build may print other bytes there.
 """
 from __future__ import annotations
 

@@ -325,6 +325,16 @@ def test_parse_errors_carry_position():
             parse_exact(text)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("sqrt(sqrt2)", 4), ("sqrt(sqrt(2))", 4), ("sqrt(1+sqrt5)", 4),
+    ("1+sqrt(2*sqrt3)", 6)])
+def test_nested_radical_is_refused_at_its_parenthesis(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_exact(text)
+    assert (str(err.value), err.value.pos) == (
+        f"nested radicals are not supported (at position {pos})", pos)
+
+
 # A minus sign is one grammar rule, '-' factor: it binds tighter than * and
 # /, and these values and errors pin what every leading, doubled or inner
 # minus reads as.

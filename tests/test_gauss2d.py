@@ -19,6 +19,7 @@ from propcf.gauss2d import (
     CylinderAddress,
     JointState,
     OnBoundary,
+    OrbitRecord,
     ZeroCoordinate,
     birkhoff_cylinder_frequencies,
     bits_for_orbit_length,
@@ -321,6 +322,75 @@ def test_growth_tiny_orbit_unreliable():
     report = growth_exponent(GOLDEN, GOLDEN, 1)
     assert report.estimate == 1.0  # q_1 = 1
     assert not report.reliable
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_growth_slope_needs_two_points(n):
+    # the slope is fitted over the final half: n - n // 2 samples
+    report = growth_exponent(GOLDEN, GOLDEN, n)
+    assert report.steps == n and not report.truncated
+    assert math.isnan(report.estimate) == (n == 0)
+    if n - n // 2 < 2:
+        assert math.isnan(report.trend_slope)
+    else:
+        # q_2 = 2 and q_3 = 3
+        exact = Fraction(math.log(3) / 3) - Fraction(math.log(2) / 2)
+        assert report.trend_slope == float(exact)
+
+
+def test_growth_slope_of_two_samples_is_their_rounded_difference():
+    # at n = 3 the fit runs through samples 2 and 3, one step apart, so its
+    # slope is v_3 - v_2 rounded once, also where v_3 exceeds 2 v_2 and
+    # neither value minus their mean need be a float
+    rng = random.Random(2412)
+    pairs = []
+    for _ in range(1000):
+        x0 = random_unit_rational(rng, 16)
+        y0 = rng.choice([GOLDEN, random_unit_rational(rng, 16)])
+        record = orbit(x0, y0, 3)
+        if record.steps == 3:
+            report = growth_exponent(x0, y0, 3, record=record)
+            pairs.append((record.growth_samples[1:], report.trend_slope))
+    for _ in range(1000):
+        samples = ((1, rng.random()), (2, rng.random()), (3, rng.uniform(0, 8)))
+        record = OrbitRecord(((1, 1),) * 3, None, samples, 3)
+        report = growth_exponent(None, None, 3, record=record)
+        pairs.append((samples[1:], report.trend_slope))
+    for ((_, v2), (_, v3)), slope in pairs:
+        assert slope == float(Fraction(v3) - Fraction(v2))
+    assert sum(v3 > 2 * v2 for ((_, v2), (_, v3)), _ in pairs) > 500
+
+
+def test_growth_slope_over_samples_with_gaps():
+    # growth_exponent takes any record: k need not be consecutive, and here
+    # its mean 13/3 is no float; the values lie on an exact line
+    samples = tuple((k, 1.5 - k / 64) for k in (1, 2, 3, 5, 6, 9))
+    record = OrbitRecord(((1, 1),) * 9, None, samples, 9)
+    report = growth_exponent(None, None, 9, record=record)
+    assert report.trend_slope == pytest.approx(-1 / 64, rel=1e-15)
+
+
+@pytest.mark.parametrize("x0, y0", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0),
+                                    (0.5, 1.0), (-0.25, 0.5), (0.5, 1.5)])
+def test_float_orbit_rejects_seeds_outside_the_unit_interval(x0, y0):
+    with pytest.raises(ValueError) as err:
+        float_orbit(x0, y0, 5)
+    assert str(err.value) == "seeds must lie in (0, 1)"
+
+
+@pytest.mark.parametrize("x0, y0, reason", [(0.5, 0.375, "x_zero"),
+                                            (0.75, 0.5, "y_zero"),
+                                            (0.5, 0.5, "both_zero")])
+def test_float_orbit_ends_on_a_zero_coordinate(x0, y0, reason):
+    # dyadic seeds: the float orbit reads the exact orbit's one digit pair,
+    # then stops where the exact orbit stops
+    record = float_orbit(x0, y0, 5)
+    exact = orbit(Rational(Fraction(x0)), Rational(Fraction(y0)), 5)
+    assert record.digits == exact.digits and record.steps == 1
+    assert record.terminated_by == exact.terminated_by == reason
+    assert record.truncated
+    # a run that ends on the last requested step has nothing to report
+    assert float_orbit(x0, y0, 1).terminated_by is None
 
 
 def test_float_orbit_matches_exact_prefix():

@@ -1,6 +1,7 @@
 """Every module the package imports is either in the standard library,
-part of propcf, or a runtime dependency declared in pyproject.toml, the
-CLI starts without importing numpy, every module parses as Python 3.10,
+part of propcf, or a runtime dependency declared in pyproject.toml, only
+the Monte Carlo imports numpy and no CLI command loads it, every module
+parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
 four order comparisons share one body, only the floor, the step and
 the two square-root routines take integer square roots, and only cli's
@@ -53,15 +54,51 @@ def test_imports_are_stdlib_or_declared():
     assert stray == []
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is most of the cold start; only growth fits and Monte Carlo load it
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _with_src() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is most of the cold start; only the Monte Carlo loads it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, propcf.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=_with_src(), check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_growth_commands_leave_numpy_unloaded():
+    # the trend slope is fitted in the standard library
+    script = ("import sys\n"
+              "from propcf import cli\n"
+              "codes = [cli.main([name, '--n', '50'])"
+              " for name in ('simulate', 'growth')]\n"
+              "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_with_src(), check=True)
+    assert proc.stderr.strip() == "[0, 0] False"
+
+
+def test_numpy_is_imported_by_the_monte_carlo_alone():
+    importers = set()
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Import) and any(
+                alias.name.partition(".")[0] == "numpy"
+                for alias in node.names)) or (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == "numpy"):
+            importers.add((path.name, ".".join(scope) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, ())
+    assert importers == {("gauss2d.py", "cylinder_area_monte_carlo")}
 
 
 def test_modules_parse_as_python_3_10():

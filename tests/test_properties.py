@@ -6,6 +6,7 @@ constructor, the fused expansion-step kernel against floor and
 subtraction and its bare-int kernel against it, the lazily built
 convergents against the eager recurrence, exact orbits against a
 plain-``Fraction`` step loop and the identity |q_n x - p_n| = x_0 ... x_n,
+the growth trend slope against the exact least-squares slope,
 the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, the classification sweeps' shared floor memo
@@ -48,7 +49,14 @@ from propcf.exactreal import (
     _digit,
     _qdigit,
 )
-from propcf.gauss2d import JointState, ZeroCoordinate, joint_step, orbit
+from propcf.gauss2d import (
+    JointState,
+    OrbitRecord,
+    ZeroCoordinate,
+    growth_exponent,
+    joint_step,
+    orbit,
+)
 from propcf.pcf import (
     ConvergentSeq,
     PCFExpansion,
@@ -464,6 +472,36 @@ def test_orbit_convergents_satisfy_exact_identity(x, y, n):
         assert 0 <= rem < 1
         product *= rem
         assert abs(cs.q(k) * x0 - cs.p(k)) == product
+
+
+def _exact_slope(samples) -> Fraction:
+    """The least-squares slope through float samples (k, v), in Fractions."""
+    m = len(samples)
+    ks = [Fraction(k) for k, _ in samples]
+    vs = [Fraction(v) for _, v in samples]
+    mean_k, mean_v = sum(ks) / m, sum(vs) / m
+    return (sum((k - mean_k) * (v - mean_v) for k, v in zip(ks, vs))
+            / sum((k - mean_k) ** 2 for k in ks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_fractions(600), _unit_points(), st.integers(0, 400),
+       st.integers(1, 4))
+def test_growth_slope_matches_exact_least_squares(x, y, n, stride):
+    # the fitted trend slope against the exact slope of the same float
+    # samples: every stride-th sample of an orbit, so k need not be
+    # consecutive.  x keeps to 600 bits: a first digit above e**709
+    # overflows the estimate's math.exp before the slope is fitted
+    record = orbit(_rational(x), y, n)
+    samples = record.growth_samples[::stride]
+    record = OrbitRecord(record.digits, None, samples, record.requested)
+    half = samples[len(samples) // 2:]
+    slope = growth_exponent(None, None, n, record=record).trend_slope
+    if len(half) < 2:
+        assert math.isnan(slope)
+    else:
+        exact = _exact_slope(half)
+        assert abs(Fraction(slope) - exact) <= abs(exact) / 10**12
 
 
 # ---------------------------------------------------------------------------
