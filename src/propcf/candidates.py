@@ -11,11 +11,15 @@ prefix: b_2 = p/a, and q_2 = q leaves one numerator a_2.  Both paths build
 that prefix with ``_forced_prefix``; the criterion accepts a divisor from
 the floor memo, the search by the digit rule on the actual remainder.  The
 cheap cutoff ``q2_cutoff_check`` is that criterion on the divisors 1 and p
-alone, so it is exact whenever p is 1 or a prime.  Every criterion
-decision is a comparison of floors floor(n/x): a sweep takes each of them
-once, from one memo (``_Floors``) that the odd digit, the criterion
-(``_fires``) and the cutoff read, and each public per-p function builds a
-fresh memo around the same private body.  The module also hosts the
+alone, so it is exact whenever p is 1 or a prime.  Every decision is a
+comparison of floors, held in two memos of one type (``_Floors``):
+floor(n/x) for the numerator side, which the odd digit, the criterion
+(``_fires``) and the cutoff read, and floor(n*x) for the denominator
+side.  The candidate rule has one body per side: ``_numerators`` for a
+denominator q, and in ``sweep_rows`` the floor pair of p/x, where a whole
+p/x makes neither of p's pairs a candidate.  A sweep takes each floor
+once from its memos; each public per-p or per-q function runs the same
+private bodies on fresh memos.  The module also hosts the
 Beatty/return-time characterizations of candidate denominators, an index
 push-down rewrite with its inverse search, and a construction witnessing
 that the convergent error bound cannot be tightened.
@@ -146,19 +150,42 @@ def is_candidate(x, p: int, q: int) -> CandidatePair | None:
 
 def candidate_q_for_p(x, p: int) -> tuple[int, int]:
     """The only possible denominators for numerator p:
-    floor(p/x) on the odd side and floor(p/x)+1 on the even side."""
+    floor(p/x) on the odd side and floor(p/x)+1 on the even side.  When
+    p/x is a whole number neither pair is a candidate: (p, p/x) hits x
+    exactly, and (p, p/x + 1) misses it by x."""
     base = floor_times(_at_least("p", p, 1), 1 / _unit(x))
     return base, base + 1
 
 
-def _split_qx(x: ExactReal, q: int) -> tuple[int, bool]:
-    """floor(qx), and whether (floor(qx), q) is an even candidate:
-    floor((q-1)x) < floor(qx), that is frac(qx) < x (so floor(qx) >= 1),
-    and qx is not a whole number (a pair hitting x exactly is no
-    candidate).  Floors alone, building no value."""
-    base = floor_times(q, x)
-    return base, (floor_times(q - 1, x) < base
-                  and base != -floor_times(-q, x))
+class _Floors(dict):
+    """floor(n*v) for each integer n a caller asks about, taken once per
+    memo, for the value v it is built on.  ``F[-n] = floor(-n*v)`` is minus
+    the ceiling of n*v, so ``-F[-n] == F[n]`` exactly when n*v is a whole
+    number (the rational tie guard).  A sweep keeps one memo per side:
+    ``_Floors(1 / x)`` for numerators, ``_Floors(x)`` for denominators."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: ExactReal):
+        self.v = v
+
+    def __missing__(self, n: int) -> int:
+        value = self[n] = floor_times(n, self.v)
+        return value
+
+
+def _numerators(G: _Floors, q: int) -> tuple[int | None, int | None]:
+    """(p_even, p_odd) for the denominator q, read from the memo G of
+    floor(n*x): the one body of the candidate rule on the q side.
+
+    p_even = floor(qx) when floor((q-1)x) < floor(qx), that is frac(qx) < x
+    (so floor(qx) >= 1), and qx is not a whole number (a pair hitting x
+    exactly is no candidate); p_odd = floor(qx) + 1 when the ceiling of
+    (q+1)x exceeds it, that is frac(qx) > 1 - x."""
+    base = G[q]
+    p_even = base if G[q - 1] < base and base != -G[-q] else None
+    p_odd = base + 1 if -G[-q - 1] > base + 1 else None
+    return p_even, p_odd
 
 
 def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
@@ -169,11 +196,7 @@ def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
     side is None.
     """
     _at_least("q", q, 1)
-    x = _unit(x)
-    base, even = _split_qx(x, q)
-    p_even = base if even else None
-    p_odd = base + 1 if -floor_times(-q - 1, x) > base + 1 else None
-    return p_even, p_odd
+    return _numerators(_Floors(_unit(x)), q)
 
 
 def approximation_margins(x, expansion: PCFExpansion) -> list[ExactReal]:
@@ -312,22 +335,6 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
 # realizability
 
 
-class _Floors(dict):
-    """floor(n/x) for each integer n a caller asks about, taken once per
-    memo.  ``F[-n] = floor(-n/x)`` is minus the ceiling of n/x, so
-    ``-F[-n] == F[n]`` exactly when n/x is a whole number (the rational
-    tie guard).  One memo serves a whole sweep."""
-
-    __slots__ = ("inv",)
-
-    def __init__(self, x: ExactReal):
-        self.inv = 1 / x
-
-    def __missing__(self, n: int) -> int:
-        value = self[n] = floor_times(n, self.inv)
-        return value
-
-
 def _odd_witness(x: ExactReal, p: int, b1: int) -> RealizationWitness:
     """The one-step witness (p, b1) with b1 = floor(p/x), checked."""
     witness = RealizationWitness((PartialQuotient(p, b1),), 1)
@@ -337,16 +344,18 @@ def _odd_witness(x: ExactReal, p: int, b1: int) -> RealizationWitness:
 
 
 def realize_odd(x, p: int) -> RealizationWitness:
-    """The one-step witness for the odd candidate (p, floor(p/x))."""
+    """The one-step witness for the odd candidate (p, floor(p/x)).  When
+    p/x is a whole number the prefix still expands from x, but neither
+    pair of p is a candidate: (p, p/x) hits x exactly."""
     x = _unit(x)
     _at_least("p", p, 1)
-    return _odd_witness(x, p, _Floors(x)[p])
+    return _odd_witness(x, p, floor_times(p, 1 / x))
 
 
 def _fires(F: _Floors, p: int, q: int, a: int) -> bool:
     """Whether the divisor a fires for the even candidate (p, q) of x,
     q = floor(p/x) + 1: frac(p/x) + frac(a/x) > 1.  The one body of the
-    divisor criterion, read from the floor memo F of x.
+    divisor criterion, read from the memo F of floor(n/x).
 
     The test runs on floors alone: the fractional parts sum to at least 1
     exactly when floor((p+a)/x) exceeds floor(p/x) + floor(a/x), and to
@@ -395,7 +404,7 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     witness or None."""
     _at_least("p", p, 1)
     x = _unit(x)
-    return _q2_witness(x, _Floors(x), p)
+    return _q2_witness(x, _Floors(1 / x), p)
 
 
 def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationWitness | None:
@@ -430,10 +439,11 @@ def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationW
     return None
 
 
-def _cutoff(F: _Floors, p: int | None, q: int, even: bool) -> CutoffVerdict:
-    """The cutoff verdict for q, whose floor(qx) is p, read from the floor
-    memo F of x: the divisor criterion on the divisors p and 1 alone."""
-    if not even:
+def _cutoff(F: _Floors, p: int | None, q: int) -> CutoffVerdict:
+    """The cutoff verdict for the even candidate (p, q), or for no even
+    candidate of q when p is None, read from the memo F of floor(n/x): the
+    divisor criterion on the divisors p and 1 alone."""
+    if p is None:
         return CutoffVerdict.NOT_EVEN_CANDIDATE
     if _fires(F, p, q, p) or _fires(F, p, q, 1):
         return CutoffVerdict.GUARANTEED_REALIZABLE
@@ -451,8 +461,8 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     is exact.
     """
     x = _unit(x)
-    p, even = _split_qx(x, _at_least("q", q, 1))
-    return _cutoff(_Floors(x), p, q, even)
+    p_even = _numerators(_Floors(x), _at_least("q", q, 1))[0]
+    return _cutoff(_Floors(1 / x), p_even, q)
 
 
 def _even_witness(x: ExactReal, F: _Floors, p: int, bound: int | None,
@@ -467,31 +477,35 @@ def _even_witness(x: ExactReal, F: _Floors, p: int, bound: int | None,
     return witness
 
 
+def _witness_cell(witness: RealizationWitness | None) -> str:
+    """A sweep row's witness text: its digit pairs, or empty for none."""
+    return "" if witness is None else _pairs_text(witness.quotients)
+
+
 def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
                oracle: bool = False) -> list[dict]:
     """Candidate classification rows for p = 1..p_max, two per p, all
-    read from one floor memo."""
+    read from one memo of floor(n/x).  The candidate rule on the p side:
+    (p, floor(p/x)) is the odd candidate and (p, floor(p/x) + 1) the even
+    one, unless p/x is a whole number, which makes neither a candidate."""
     x = _unit(x)
     _at_least("p_max", p_max, 1)
-    F = _Floors(x)
+    F = _Floors(1 / x)
     rows = []
     for p in range(1, p_max + 1):
         q_odd = F[p]
-        odd_witness = _odd_witness(x, p, q_odd)
+        whole = -F[-p] == q_odd
+        odd = None if whole else _odd_witness(x, p, q_odd)
         rows.append({
             "x": x_text, "p": p, "q": q_odd, "parity": "odd",
-            "realizable": True,
-            "witness": _pairs_text(odd_witness.quotients), "cutoff": "",
+            "realizable": odd is not None, "witness": _witness_cell(odd),
+            "cutoff": "",
         })
-        witness = _even_witness(x, F, p, bound, oracle, f"p={p}")
-        # (p, q_odd + 1) is an even candidate unless p/x is a whole number
-        even = -F[-p] != q_odd
+        even = _even_witness(x, F, p, bound, oracle, f"p={p}")
         rows.append({
             "x": x_text, "p": p, "q": q_odd + 1, "parity": "even",
-            "realizable": witness is not None,
-            "witness": _pairs_text(witness.quotients)
-            if witness is not None else "",
-            "cutoff": _cutoff(F, p, q_odd + 1, even).value,
+            "realizable": even is not None, "witness": _witness_cell(even),
+            "cutoff": _cutoff(F, None if whole else p, q_odd + 1).value,
         })
     return rows
 
@@ -500,22 +514,22 @@ def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
                  bound: int | None = None, oracle: bool = False) -> list[dict]:
     """Candidate classification rows for q = q_min..q_max, one per q: both
     candidate numerators and the even side's realizability (None when q
-    has no even candidate), all read from one floor memo."""
+    has no even candidate), read from one memo per side: floor(n*x) for
+    the numerators, floor(n/x) for the criterion."""
     x = _unit(x)
     _at_least("q_min", q_min, 1)
-    F = _Floors(x)
+    F, G = _Floors(1 / x), _Floors(x)
     rows = []
     for q in range(q_min, q_max + 1):
-        p_even, p_odd = candidate_p_for_q(x, q)
+        p_even, p_odd = _numerators(G, q)
         witness = None if p_even is None else _even_witness(
             x, F, p_even, bound, oracle, f"q={q}")
         rows.append({
             "x": x_text, "q": q, "p_even": p_even, "p_odd": p_odd,
             "even_realizable": None if p_even is None
             else witness is not None,
-            "witness": _pairs_text(witness.quotients)
-            if witness is not None else "",
-            "cutoff": _cutoff(F, p_even, q, p_even is not None).value,
+            "witness": _witness_cell(witness),
+            "cutoff": _cutoff(F, p_even, q).value,
         })
     return rows
 
@@ -532,7 +546,7 @@ def cutoff_margin_survey(x, p_max: int, bins: int = 10) -> list[dict]:
     _at_least("p_max", p_max, 1)
     _at_least("bins", bins, 1)
     threshold = max(Rational(1, 2), gauss_map(x, 1))
-    F = _Floors(x)
+    F = _Floors(1 / x)
     counts = [[0, 0] for _ in range(bins)]
     for p in range(1, p_max + 1):
         i = bins * (F[p] + 1) + F[-bins * p]

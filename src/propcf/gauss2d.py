@@ -302,6 +302,8 @@ def growth_exponent(x0, y0, n: int, record: OrbitRecord | None = None) -> Growth
 
     ``reliable`` demands a full-length untruncated orbit of at least 16
     steps whose final-quarter oscillation stays below 5% of the estimate.
+    An estimate or a final-quarter sample too large for a float is inf,
+    and the report is then unreliable.
     """
     if record is None:
         record = orbit(x0, y0, n)
@@ -309,9 +311,18 @@ def growth_exponent(x0, y0, n: int, record: OrbitRecord | None = None) -> Growth
     if not samples:
         return GrowthReport(math.nan, math.nan, math.nan, False,
                             record.truncated, 0, record.requested)
-    estimate = math.exp(samples[-1][1])
+    # exp overflows a float past log q_k / k of about 709.78, as for a
+    # first digit beyond e^709.78; the last sample is in the final quarter,
+    # so an infinite estimate makes the oscillation infinite too
+    try:
+        estimate = math.exp(samples[-1][1])
+    except OverflowError:
+        estimate = math.inf
     quarter = samples[(3 * len(samples)) // 4:]
-    oscillation = max(abs(math.exp(v) - estimate) for _, v in quarter)
+    try:
+        oscillation = max(abs(math.exp(v) - estimate) for _, v in quarter)
+    except OverflowError:
+        oscillation = math.inf
     half = samples[len(samples) // 2:]
     if len(half) >= 2:
         mean_k = math.fsum(k for k, _ in half) / len(half)

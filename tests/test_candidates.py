@@ -412,18 +412,24 @@ _FIELDS = ("golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2")
 
 
 def test_even_side_has_one_rule():
-    # a rational x with qx an integer has no even candidate for q: the pair
-    # (qx, q) hits x exactly, and all three functions must say so; a
-    # rational x also meets the cutoff with equality, which guarantees
-    # nothing
+    # the candidate rule on both sides, against is_candidate: a rational x
+    # with qx an integer has no even candidate for q, since the pair
+    # (qx, q) hits x exactly, and one with p/x an integer has no candidate
+    # for p at all, as (p, p/x) hits x and (p, p/x + 1) misses it by x;
+    # the public per-q functions and both sweeps must say so.  A rational
+    # x also meets the cutoff with equality, which guarantees nothing
     values = [Rational(t, s) for s in range(2, 30) for t in range(1, s)
               if math.gcd(t, s) == 1]
     values += [parse_exact(spec) for spec in _FIELDS]
     for x in values:
         cutoff = max(x / 2, x * frac_part(1 / x))
-        for q in range(1, 81):
+        by_q = sweep_q_rows(x, "", 1, 150)
+        for q, row in enumerate(by_q, start=1):
             p_even = _numerator_by_definition(x, q, Parity.EVEN)
             p_odd = _numerator_by_definition(x, q, Parity.ODD)
+            assert (row["p_even"], row["p_odd"]) == (p_even, p_odd), (x, q)
+            if q > 80:
+                continue
             assert candidate_p_for_q(x, q) == (p_even, p_odd), (x, q)
             verdict = q2_cutoff_check(x, q)
             if p_even is None:
@@ -433,6 +439,14 @@ def test_even_side_has_one_rule():
             else:
                 expected = CutoffVerdict.UNDETERMINED
             assert verdict is expected, (x, q)
+        by_p = sweep_rows(x, "", 60)
+        for odd, even in zip(by_p[::2], by_p[1::2]):
+            got = is_candidate(x, odd["p"], odd["q"])
+            assert odd["realizable"] == (
+                got is not None and got.parity is Parity.ODD), (x, odd)
+            got = is_candidate(x, even["p"], even["q"])
+            assert (even["cutoff"] == "not_even_candidate") == (
+                got is None or got.parity is not Parity.EVEN), (x, even)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -547,6 +561,25 @@ def test_sweep_takes_each_floor_once(monkeypatch):
         calls[0] = 0
         sweep_rows(x, "", 300)
         assert 0 < calls[0] <= 6 * 300, x
+
+
+def test_q_sweep_takes_each_floor_once(monkeypatch):
+    # the rows of q = 1..300 read floor(n*x) for |n| up to 301 from one
+    # memo and the criterion's floor(n/x) from another; per row through
+    # the public candidate_p_for_q they would retake floor(qx) and its
+    # neighbours for every q
+    calls = [0]
+    floor = candidates.floor_times
+
+    def counting(n, v):
+        calls[0] += 1
+        return floor(n, v)
+
+    monkeypatch.setattr(candidates, "floor_times", counting)
+    for x in (GOLDEN, Rational(2, 7)):
+        calls[0] = 0
+        sweep_q_rows(x, "", 1, 300)
+        assert 0 < calls[0] <= 1300, x
 
 
 def test_cutoff_margin_survey_shape():

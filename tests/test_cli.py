@@ -225,6 +225,15 @@ def test_growth_with_explicit_x(capsys):
     assert 1.0 < float(doc["estimate"]) < 10.0
 
 
+def test_growth_past_the_float_range_reads_inf(capsys):
+    # x = 1/10^400 has the one digit 10^400 > e^709.78, so the estimate
+    # exp(log q_1) is too large for a float: inf and unreliable, not an
+    # invariant violation
+    doc = run_json(capsys, "growth", "--x", f"1/{10**400}", "--n", "1")
+    assert (doc["steps"], doc["estimate"], doc["oscillation"],
+            doc["reliable"]) == ("1", "inf", "inf", "false")
+
+
 def test_simulate_digests_and_frequencies(capsys):
     doc = run_json(capsys, "simulate", "--seed", "7", "--n", "50",
                    "--orbits", "2")
@@ -342,6 +351,11 @@ _PINNED_OUTPUT = (
     pytest.param(("classify", "2/7", "--q", "1..40", "--format", "csv"),
                  "3b6567a77286f973610c6fc5e5d57427faed35a73f2920d4ce5e4441af8c9d46",
                  id="classify-q-rational-csv"),
+    # rational x by p: p = 3, 6, ..., 30 have p/x whole, so neither pair of
+    # theirs is a candidate; the odd row is unrealizable with no witness
+    pytest.param(("classify", "3/7", "--p", "1..30", "--format", "csv"),
+                 "f0c757c818538cefcb1df51c103df3de27a81bd277facfb1b8485f6d2fe30013",
+                 id="classify-p-rational-csv"),
     pytest.param(("classify", "(sqrt7-2)/3", "--q", "300..330", "--oracle",
                   "--bound", "1000"),
                  "935bd8ad0af5a2cc04145d73d0dbea7a20ee9f9030af3a1f11834a6d250da098",

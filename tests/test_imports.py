@@ -4,8 +4,9 @@ the Monte Carlo imports numpy and no CLI command loads it, every module
 parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
 four order comparisons share one body, only the floor, the step and
-the two square-root routines take integer square roots, and only cli's
-``_csv_text`` writes CSV."""
+the two square-root routines take integer square roots, only cli's
+``_csv_text`` writes CSV, and the classification sweeps call no public
+per-row function."""
 
 import ast
 import os
@@ -210,6 +211,22 @@ def test_oracle_never_reads_the_criterion():
         todo.extend((names & bodies.keys()) - criterion)
     assert "_forced_prefix" in seen
     assert named & criterion == set()
+
+
+def test_sweeps_read_their_memos():
+    """A sweep decides every row from its floor memos through the private
+    bodies, so none of the three names a public per-row function (each of
+    which checks its input and builds fresh memos)."""
+    tree = ast.parse((PACKAGE / "candidates.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    per_row = {"is_candidate", "candidate_p_for_q", "candidate_q_for_p",
+               "realize_odd", "realizable_as_q2", "q2_cutoff_check"}
+    for sweep in ("sweep_rows", "sweep_q_rows", "cutoff_margin_survey"):
+        names = {node.id for node in ast.walk(bodies[sweep])
+                 if isinstance(node, ast.Name)}
+        assert "_Floors" in names, sweep
+        assert names & per_row == set(), sweep
 
 
 def test_csv_has_one_writer():

@@ -106,7 +106,7 @@ def _obeys_digit_rule(x, p: int, q: int, a: int) -> bool:
 def test_criterion_fires_on_exactly_the_divisors_the_digit_rule_accepts():
     triples = fired = 0
     for x in XS:
-        F = _Floors(x)
+        F = _Floors(1 / x)
         for p in range(1, 241):
             q = F[p] + 1
             for a in _divisors(p):

@@ -6,7 +6,8 @@ constructor, the fused expansion-step kernel against floor and
 subtraction and its bare-int kernel against it, the lazily built
 convergents against the eager recurrence, exact orbits against a
 plain-``Fraction`` step loop and the identity |q_n x - p_n| = x_0 ... x_n,
-the growth trend slope against the exact least-squares slope,
+the growth trend slope against the exact least-squares slope and the
+growth report past the float range,
 the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, the classification sweeps' shared floor memo
@@ -30,6 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 from propcf import cli
 from propcf.candidates import (
     candidate_p_for_q,
+    is_candidate,
     q2_cutoff_check,
     realizable_as_q2,
     realizable_as_q2_oracle,
@@ -490,8 +492,7 @@ def _exact_slope(samples) -> Fraction:
 def test_growth_slope_matches_exact_least_squares(x, y, n, stride):
     # the fitted trend slope against the exact slope of the same float
     # samples: every stride-th sample of an orbit, so k need not be
-    # consecutive.  x keeps to 600 bits: a first digit above e**709
-    # overflows the estimate's math.exp before the slope is fitted
+    # consecutive.  x keeps to 600 bits, where every sample is finite
     record = orbit(_rational(x), y, n)
     samples = record.growth_samples[::stride]
     record = OrbitRecord(record.digits, None, samples, record.requested)
@@ -502,6 +503,33 @@ def test_growth_slope_matches_exact_least_squares(x, y, n, stride):
     else:
         exact = _exact_slope(half)
         assert abs(Fraction(slope) - exact) <= abs(exact) / 10**12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_magnitude(2000).filter(lambda den: den > 1), _unit_points(),
+       st.integers(0, 40))
+@example(10**400, Rational(1, 2), 1)
+def test_growth_exponent_never_raises(den, y, n):
+    # x = 1/den: a first digit above e**709.78 takes log(q_k)/k past what
+    # exp can return as a float; the report reads inf there and is
+    # unreliable, and every finite sample keeps its exp
+    record = orbit(Rational(1, den), y, n)
+    report = growth_exponent(None, None, n, record=record)
+    samples = record.growth_samples
+    if not samples:
+        assert math.isnan(report.estimate)
+        return
+    last = samples[-1][1]
+    quarter = [v for _, v in samples[(3 * len(samples)) // 4:]]
+    if last < 709:
+        assert report.estimate == math.exp(last)
+    elif last > 710:
+        assert report.estimate == math.inf
+    if max(quarter) > 710:
+        assert report.oscillation == math.inf and not report.reliable
+    elif max(quarter) < 709:
+        assert report.oscillation == max(abs(math.exp(v) - report.estimate)
+                                         for v in quarter)
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +611,19 @@ def _witness_text(witness) -> str:
 
 def _p_rows_by_reference(x, p_max: int) -> list[dict]:
     """sweep_rows' rows rebuilt one p at a time from the public functions,
-    each of which takes its own floors."""
+    each of which takes its own floors.  The one-step prefix of p expands
+    from x even when p/x is whole, but (p, p/x) is then no candidate, so
+    the odd row has no witness."""
     rows = []
     for p in range(1, p_max + 1):
         odd = realize_odd(x, p)
         q = odd.quotients[0].b
+        if is_candidate(x, p, q) is None:
+            odd = None
         even = realizable_as_q2(x, p)
         rows.append({"x": "x", "p": p, "q": q, "parity": "odd",
-                     "realizable": True, "witness": _witness_text(odd),
-                     "cutoff": ""})
+                     "realizable": odd is not None,
+                     "witness": _witness_text(odd), "cutoff": ""})
         rows.append({"x": "x", "p": p, "q": q + 1, "parity": "even",
                      "realizable": even is not None,
                      "witness": _witness_text(even),
