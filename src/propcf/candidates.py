@@ -52,10 +52,6 @@ from .pcf import (
 )
 
 
-class BoundTooSmall(RuntimeError):
-    """A capped search was truncated before it could prove absence."""
-
-
 class InvariantViolation(RuntimeError):
     """A postcondition that the underlying theory guarantees failed."""
 
@@ -365,16 +361,16 @@ def _fires(F: _Floors, p: int, q: int, a: int) -> bool:
     return both >= q + F[a] and both != -F[-p - a]
 
 
-def _forced_prefix(a: int, b1: int, p: int, q: int,
-                   cap: int | None) -> RealizationWitness | None:
+def _forced_prefix(a: int, b1: int, p: int,
+                   q: int) -> RealizationWitness | None:
     """The one two-step prefix that the divisor a of p allows for the pair
     (p, q), given its first digit b1 = floor(a/x): p_2 = a*b_2 forces
     b_2 = p/a, and q_2 = b_1*b_2 + a_2 = q forces a_2 = q - b_1*b_2.  None
-    unless 1 <= a_2 <= min(b_2, cap); whether a_2 expands from the first
-    remainder is the caller's test."""
+    unless 1 <= a_2 <= b_2; whether a_2 expands from the first remainder
+    is the caller's test."""
     b2 = p // a
     a2 = q - b1 * b2
-    if not 1 <= a2 <= (b2 if cap is None else min(b2, cap)):
+    if not 1 <= a2 <= b2:
         return None
     return RealizationWitness(
         (PartialQuotient(a, b1), PartialQuotient(a2, b2)), 2)
@@ -386,7 +382,7 @@ def _q2_witness(x: ExactReal, F: _Floors, p: int) -> RealizationWitness | None:
     q = F[p] + 1
     for a in _divisors(p):
         if _fires(F, p, q, a):
-            witness = _forced_prefix(a, F[a], p, q, None)
+            witness = _forced_prefix(a, F[a], p, q)
             if witness is None:
                 raise InvariantViolation(
                     f"divisor {a} of {p} produced digit data outside range")
@@ -407,35 +403,27 @@ def realizable_as_q2(x, p: int) -> RealizationWitness | None:
     return _q2_witness(x, _Floors(1 / x), p)
 
 
-def realizable_as_q2_oracle(x, p: int, bound: int | None = None) -> RealizationWitness | None:
+def realizable_as_q2_oracle(x, p: int) -> RealizationWitness | None:
     """Exhaustive search over the two-step prefixes with p_2 == p.
 
     Independent of any divisor criterion: p_2 = a_1 * b_2 forces a_1 | p
     and b_2 = p/a_1, and q_2 = q then forces a_2, so each divisor has one
     prefix (``_forced_prefix``), tried against the digit rule
-    floor(a_2/x_1) == b_2 on the actual remainder x_1.  A divisor whose
-    b_2 exceeds ``bound`` and whose x_1 is nonzero truncates the search;
-    BoundTooSmall is raised when a truncated search found nothing (absence
-    unproven).
+    floor(a_2/x_1) == b_2 on the actual remainder x_1.  None proves that
+    no such prefix exists.
     """
     _at_least("p", p, 1)
     x = _unit(x)
     q = floor_times(p, 1 / x) + 1
-    truncated = False
     for a1 in _divisors(p):
         b1, x1 = _digit(x, a1)
         if is_zero(x1):
             continue  # terminated: no second digit exists on this branch
-        truncated = truncated or (bound is not None and p // a1 > bound)
-        witness = _forced_prefix(a1, b1, p, q, bound)
+        witness = _forced_prefix(a1, b1, p, q)
         if witness is not None:
             second = witness.quotients[1]
             if _digit(x1, second.a)[0] == second.b:
                 return witness
-    if truncated:
-        raise BoundTooSmall(
-            f"no witness for p={p} within numerator bound {bound}; "
-            "the untruncated search might still find one")
     return None
 
 
@@ -465,13 +453,13 @@ def q2_cutoff_check(x, q: int) -> CutoffVerdict:
     return _cutoff(_Floors(1 / x), p_even, q)
 
 
-def _even_witness(x: ExactReal, F: _Floors, p: int, bound: int | None,
-                  oracle: bool, where: str) -> RealizationWitness | None:
+def _even_witness(x: ExactReal, F: _Floors, p: int, oracle: bool,
+                  where: str) -> RealizationWitness | None:
     """The divisor criterion's witness for the even candidate of p, or
     None; with ``oracle`` the exhaustive search must agree on existence."""
     witness = _q2_witness(x, F, p)
     if oracle and (witness is None) != (
-            realizable_as_q2_oracle(x, p, bound) is None):
+            realizable_as_q2_oracle(x, p) is None):
         raise InvariantViolation(
             f"divisor criterion and brute force disagree at {where}")
     return witness
@@ -482,7 +470,7 @@ def _witness_cell(witness: RealizationWitness | None) -> str:
     return "" if witness is None else _pairs_text(witness.quotients)
 
 
-def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
+def sweep_rows(x, x_text: str, p_max: int,
                oracle: bool = False) -> list[dict]:
     """Candidate classification rows for p = 1..p_max, two per p, all
     read from one memo of floor(n/x).  The candidate rule on the p side:
@@ -501,7 +489,7 @@ def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
             "realizable": odd is not None, "witness": _witness_cell(odd),
             "cutoff": "",
         })
-        even = _even_witness(x, F, p, bound, oracle, f"p={p}")
+        even = _even_witness(x, F, p, oracle, f"p={p}")
         rows.append({
             "x": x_text, "p": p, "q": q_odd + 1, "parity": "even",
             "realizable": even is not None, "witness": _witness_cell(even),
@@ -511,7 +499,7 @@ def sweep_rows(x, x_text: str, p_max: int, bound: int | None = None,
 
 
 def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
-                 bound: int | None = None, oracle: bool = False) -> list[dict]:
+                 oracle: bool = False) -> list[dict]:
     """Candidate classification rows for q = q_min..q_max, one per q: both
     candidate numerators and the even side's realizability (None when q
     has no even candidate), read from one memo per side: floor(n*x) for
@@ -523,7 +511,7 @@ def sweep_q_rows(x, x_text: str, q_min: int, q_max: int,
     for q in range(q_min, q_max + 1):
         p_even, p_odd = _numerators(G, q)
         witness = None if p_even is None else _even_witness(
-            x, F, p_even, bound, oracle, f"q={q}")
+            x, F, p_even, oracle, f"q={q}")
         rows.append({
             "x": x_text, "q": q, "p_even": p_even, "p_odd": p_odd,
             "even_realizable": None if p_even is None

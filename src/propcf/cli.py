@@ -4,10 +4,9 @@ growth estimates, y(x) scatter data, and rational enumeration.
 Every command prints machine-readable output (JSON or CSV) built from
 exact arithmetic, so a rerun with the same flags and seed is byte
 identical.  Exit codes: 0 success, 2 bad input (including a count flag
-such as --n, --bound or --orbits below its least value, a reversed range,
-a value that cannot be evaluated exactly, a --bound given without
---oracle, an oracle --bound too small to decide a row, or an --out path
-that cannot be written), 4 internal invariant violation.
+such as --n or --orbits below its least value, a reversed range, a value
+that cannot be evaluated exactly, or an --out path that cannot be
+written), 4 internal invariant violation.
 
 Every request takes one path: argparse, then ``_config_from`` (range
 checks and the common flags), then one ``cmd_*`` that returns the document
@@ -54,7 +53,6 @@ from .pcf import (
     expand,
 )
 from .candidates import (
-    BoundTooSmall,
     InvariantViolation,
     approximation_margins,
     sweep_q_rows,
@@ -82,8 +80,8 @@ _SCHEMA = 1
 # numerator of yofx, which stores it apart
 _COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
                 ("--limit", "limit", 0), ("--n", "n", 1),
-                ("--n", "numerator", 1), ("--bound", "bound", 1),
-                ("--grid", "grid", 2), ("--depth", "depth", 1))
+                ("--n", "numerator", 1), ("--grid", "grid", 2),
+                ("--depth", "depth", 1))
 
 
 class UsageError(ValueError):
@@ -359,8 +357,6 @@ def cmd_expand(args):
 def cmd_classify(args):
     if (args.p is None) == (args.q is None):
         raise UsageError("give exactly one of --p or --q")
-    if args.bound is not None and not args.oracle:
-        raise UsageError("--bound applies only with --oracle")
     x = parse_x_spec(args.x)
     x_text = to_text(x)
     if args.p is not None:
@@ -368,14 +364,14 @@ def cmd_classify(args):
         # the sweep starts at p = 1: starting it at low would change what
         # the classify benchmark measures (ROADMAP.md, item 8)
         rows = [_text_row(row) for row in sweep_rows(
-            x, x_text, high, bound=args.bound, oracle=args.oracle)
+            x, x_text, high, oracle=args.oracle)
             if row["p"] >= low]
         header = ["x", "p", "q", "parity", "realizable", "witness", "cutoff"]
         mode = "p"
     else:
         low, high = _parse_range(args.q)
         rows = [_text_row(row) for row in sweep_q_rows(
-            x, x_text, low, high, bound=args.bound, oracle=args.oracle)]
+            x, x_text, low, high, oracle=args.oracle)]
         header = ["x", "q", "p_even", "p_odd", "even_realizable", "witness",
                   "cutoff"]
         mode = "q"
@@ -545,8 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="denominator range N or LO..HI")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the divisor criterion by brute force")
-    p.add_argument("--bound", type=int, default=None,
-                   help="cap on the brute-force numerator search")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -620,10 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, MiddleCaseError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except BoundTooSmall as exc:
-        # a --bound that cuts the oracle's search short is bad input
-        print(f"error: {exc}; raise --bound or leave it out", file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         # covers UsageError, ParseError, and library input validation
         print(f"error: {exc}", file=sys.stderr)

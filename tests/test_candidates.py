@@ -9,7 +9,6 @@ import pytest
 
 from propcf import candidates
 from propcf.candidates import (
-    BoundTooSmall,
     CutoffVerdict,
     Parity,
     RealizationWitness,
@@ -268,17 +267,6 @@ def test_even_criterion_matches_brute_force_on_rationals():
                     assert by_search.verify(x, p, q_even)
                 pairs += 1
     assert pairs == 10_760
-
-
-def test_oracle_bound_semantics():
-    # truncated and empty-handed: absence is unproven
-    with pytest.raises(BoundTooSmall):
-        realizable_as_q2_oracle(GOLDEN, 2, bound=1)
-    # truncated on one branch but a witness still turns up on another
-    w = realizable_as_q2_oracle(GOLDEN, 3, bound=1)
-    assert w is not None and w.verify(GOLDEN, 3, 5)
-    # honest failure without a bound needs no exception
-    assert realizable_as_q2_oracle(GOLDEN, 2) is None
 
 
 def test_witness_verify_rejects():

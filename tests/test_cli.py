@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: worked examples,
 output determinism, exit codes, and environment overrides."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -156,7 +157,7 @@ def test_classify_oracle_flag(capsys):
 def test_classify_oracle_disagreement_exit_code(capsys, monkeypatch):
     # an oracle contradicting the divisor criterion on every row must stop
     # both sweeps, which share one cross-check
-    def contrary(x, p, bound=None):
+    def contrary(x, p):
         return None if candidates.realizable_as_q2(x, p) else object()
     monkeypatch.setattr(candidates, "realizable_as_q2_oracle", contrary)
     for mode, window in (("--p", "1..6"), ("--q", "2..8")):
@@ -164,27 +165,6 @@ def test_classify_oracle_disagreement_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == cli.EXIT_INVARIANT and captured.out == ""
         assert f"disagree at {mode[2:]}=" in captured.err
-
-
-def test_classify_oracle_bound_too_small_exit_code(capsys):
-    # a --bound that truncates the brute-force search leaves a row undecided
-    for bound in ("50", "3"):
-        code = cli.main(["classify", "(sqrt3-1)/2", "--p", "1..200",
-                         "--oracle", "--bound", bound])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_PARSE and captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert f"bound {bound};" in captured.err
-
-
-def test_classify_bound_needs_oracle(capsys):
-    # --bound caps the brute-force search alone; without --oracle it would
-    # be silently ignored, so it is bad input
-    for window in (("--p", "1..3"), ("--q", "2..6")):
-        code = cli.main(["classify", "golden", *window, "--bound", "5"])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_PARSE and captured.out == ""
-        assert captured.err == "error: --bound applies only with --oracle\n"
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +336,9 @@ _PINNED_OUTPUT = (
     pytest.param(("classify", "3/7", "--p", "1..30", "--format", "csv"),
                  "f0c757c818538cefcb1df51c103df3de27a81bd277facfb1b8485f6d2fe30013",
                  id="classify-p-rational-csv"),
-    pytest.param(("classify", "(sqrt7-2)/3", "--q", "300..330", "--oracle",
-                  "--bound", "1000"),
+    pytest.param(("classify", "(sqrt7-2)/3", "--q", "300..330", "--oracle"),
                  "935bd8ad0af5a2cc04145d73d0dbea7a20ee9f9030af3a1f11834a6d250da098",
-                 id="classify-q-bound"),
+                 id="classify-q-oracle-sqrt7"),
     pytest.param(("yofx", "--family", "varnum", "--grid", "8", "--depth", "5",
                   "--format", "csv"),
                  "d41e5c18ea40b7e570d19ff85111daa9af3a0dc9b1d1f233bf9fe783025bb3d6",
@@ -494,8 +473,6 @@ def test_config_validation(capsys):
     for argv, flag, least in (
             (("growth", "--n", "0", "--x", "1/3"), "--n", 1),
             (("simulate", "--n", "0"), "--n", 1),
-            (("classify", "golden", "--p", "1..3", "--bound", "0"),
-             "--bound", 1),
             (("yofx", "--family", "engel", "--grid", "1", "--depth", "3"),
              "--grid", 2),
             (("yofx", "--family", "engel", "--grid", "5", "--depth", "0"),
@@ -520,10 +497,27 @@ def test_config_validation(capsys):
 
 
 def test_unknown_flag_exit_code():
-    proc = run_proc("growth", "--n", "10", "--x", "1/3",
-                    "--precision-bits", "64")
-    assert proc.returncode == cli.EXIT_PARSE
-    assert "unrecognized arguments" in proc.stderr
+    for argv in (("growth", "--n", "10", "--x", "1/3",
+                  "--precision-bits", "64"),
+                 ("classify", "golden", "--q", "2..6", "--oracle",
+                  "--bound", "5")):
+        proc = run_proc(*argv)
+        assert proc.returncode == cli.EXIT_PARSE and proc.stdout == ""
+        assert "unrecognized arguments" in proc.stderr
+
+
+def test_every_int_flag_is_range_checked():
+    # _config_from range-checks exactly the rows of _COUNT_FLAGS, so each
+    # int-typed subcommand option but --seed (checked apart) needs a row,
+    # and each row an option
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    int_flags = {(flag, action.dest)
+                 for command in commands.values()
+                 for action in command._actions if action.type is int
+                 for flag in action.option_strings if flag != "--seed"}
+    assert int_flags == {(flag, dest) for flag, dest, _ in cli._COUNT_FLAGS}
 
 
 def test_out_files(tmp_path, capsys):

@@ -2,22 +2,18 @@
 
 ``realizable_as_q2_oracle`` tries one prefix per divisor a_1 of p, the one
 that p_2 = p and q_2 = q force.  ``_scanning_oracle`` below is the plain
-search that assumes nothing about a_2: every numerator a_2 in
-1..min(b_2, bound) is tried against the digit rule floor(a_2/x_1) == b_2
-and against q_2 == q.  The two must agree on every witness and on every
-truncation, and the criterion ``_fires`` must hold on exactly the divisors
-whose forced prefix obeys the digit rule.
+search that assumes nothing about a_2: every numerator a_2 in 1..b_2 is
+tried against the digit rule floor(a_2/x_1) == b_2 and against q_2 == q.
+The two must agree on every witness, and the criterion ``_fires`` must
+hold on exactly the divisors whose forced prefix obeys the digit rule.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-import pytest
-
 from propcf import candidates
 from propcf.candidates import (
-    BoundTooSmall,
     RealizationWitness,
     _fires,
     _Floors,
@@ -40,7 +36,6 @@ XS = [Rational(t, s) for s in range(2, 40) for t in range(1, s)
       if math.gcd(t, s) == 1] + [parse_exact(text) for text in (
           "golden", "sqrt2-1", "(sqrt7-2)/3", "(sqrt13-3)/2",
           "(sqrt3-1)/2", "sqrt7-2")]
-BOUNDS = (None, 1, 2, 3, 5, 10, 50)
 
 
 @lru_cache(maxsize=None)
@@ -48,46 +43,31 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n + 1) if n % a == 0)
 
 
-def _scanning_oracle(x, p: int, bound: int | None = None):
-    """Every numerator a_2 in [1, min(b_2, bound)] of every divisor a_1,
-    in order; BoundTooSmall when a capped scan found nothing."""
+def _scanning_oracle(x, p: int):
+    """Every numerator a_2 in [1, b_2] of every divisor a_1, in order."""
     q = floor_times(p, 1 / x) + 1
-    truncated = False
     for a1 in _divisors(p):
         b1, x1 = _digit(x, a1)
         if is_zero(x1):
             continue
         b2 = p // a1
         inv1 = 1 / x1
-        hi = b2 if bound is None else min(b2, bound)
-        if hi < b2:
-            truncated = True
-        for a2 in range(1, hi + 1):
+        for a2 in range(1, b2 + 1):
             if floor_times(a2, inv1) != b2:
                 continue
             if b1 * b2 + a2 != q:
                 continue
             return RealizationWitness(
                 (PartialQuotient(a1, b1), PartialQuotient(a2, b2)), 2)
-    if truncated:
-        raise BoundTooSmall(f"p={p}, bound={bound}")
     return None
 
 
-def _outcome(search, x, p, bound):
-    try:
-        return search(x, p, bound)
-    except BoundTooSmall:
-        return BoundTooSmall
-
-
-@pytest.mark.parametrize("bound", BOUNDS)
-def test_oracle_matches_the_scan(bound):
+def test_oracle_matches_the_scan():
     cases = 0
     for x in XS:
         for p in range(1, 121):
-            got = _outcome(realizable_as_q2_oracle, x, p, bound)
-            assert got == _outcome(_scanning_oracle, x, p, bound), (x, p)
+            got = realizable_as_q2_oracle(x, p)
+            assert got == _scanning_oracle(x, p), (x, p)
             cases += 1
     assert cases == 479 * 120
 
