@@ -19,7 +19,12 @@ side.  The candidate rule has one body per side: ``_numerators`` for a
 denominator q, and in ``sweep_rows`` the floor pair of p/x, where a whole
 p/x makes neither of p's pairs a candidate.  A sweep takes each floor
 once from its memos; each public per-p or per-q function runs the same
-private bodies on fresh memos.  The module also hosts the
+private bodies on fresh memos.  Every witness is checked by its cylinder
+(``RealizationWitness.verify``), apart from the memos and the criterion:
+a prefix of n digits expands from x exactly when x lies between p_n/q_n
+and (p_n + p_{n-1})/(q_n + q_{n-1}), the first end included unless
+a_n = b_n and the second left out, two integer signs of q*x - p
+(``exactreal._affine_sign``).  The module also hosts the
 Beatty/return-time characterizations of candidate denominators, an index
 push-down rewrite with its inverse search, and a construction witnessing
 that the convergent error bound cannot be tightened.
@@ -32,6 +37,7 @@ from enum import Enum
 from .exactreal import (
     ExactReal,
     Rational,
+    _affine_sign,
     _at_least,
     _digit,
     _exact,
@@ -85,9 +91,36 @@ class RealizationWitness:
         return ConvergentSeq(self.quotients).pair(self.index)
 
     def verify(self, x, p: int, q: int) -> bool:
-        """Digits reproduce from x and the pair at ``index`` is (p, q)."""
-        return (_remainders(x, self.quotients) is not None
-                and self.convergent_pair() == (p, q))
+        """Digits reproduce from x and the pair at ``index`` is (p, q).
+
+        The digits reproduce exactly when x lies in their cylinder: with
+        remainder t = x_n in [0, 1), x = (p_n + t*p_{n-1})/(q_n +
+        t*q_{n-1}).  So two integer signs decide it, s0 of q_n*x - p_n and
+        s1 of (q_n + q_{n-1})*x - (p_n + p_{n-1}): when s0 = 0 (t = 0) the
+        prefix is valid unless a_n = b_n (then x_{n-1} would be 1), and
+        otherwise when s1 is the opposite of s0 (t = 1 is left out).  The
+        recurrence that gives the signs gives the pair at ``index`` too;
+        no remainder, floor memo or criterion is read."""
+        return self._verify(_unit(x), p, q)
+
+    def _verify(self, x: ExactReal, p: int, q: int) -> bool:
+        """``verify`` on a checked x."""
+        index, at = self.index, None
+        p0, q0, p1, q1 = 1, 0, 0, 1  # the pairs at n - 1 and n, from n = 0
+        for n, quot in enumerate(self.quotients, 1):
+            a, b = quot.a, quot.b
+            p0, q0, p1, q1 = p1, q1, b * p1 + a * p0, b * q1 + a * q0
+            if n == index:
+                at = p1, q1
+        s0 = _affine_sign(x, q1, p1)
+        if s0 == 0:  # x = p_n/q_n: n >= 1, since p_0/q_0 = 0 < x
+            if a == b:
+                return False
+        elif _affine_sign(x, q1 + q0, p1 + p0) != -s0:
+            return False
+        if at is None:  # index 0 or -1, or an IndexError past the prefix
+            at = self.convergent_pair()
+        return at == (p, q)
 
 
 def _remainders(x, quotients) -> list[ExactReal] | None:
@@ -334,7 +367,7 @@ def return_time_check(x, p: int, q: int) -> ReturnTimeReport:
 def _odd_witness(x: ExactReal, p: int, b1: int) -> RealizationWitness:
     """The one-step witness (p, b1) with b1 = floor(p/x), checked."""
     witness = RealizationWitness((PartialQuotient(p, b1),), 1)
-    if not witness.verify(x, p, b1):
+    if not witness._verify(x, p, b1):
         raise InvariantViolation(f"odd witness failed for p={p}")
     return witness
 
@@ -386,7 +419,7 @@ def _q2_witness(x: ExactReal, F: _Floors, p: int) -> RealizationWitness | None:
             if witness is None:
                 raise InvariantViolation(
                     f"divisor {a} of {p} produced digit data outside range")
-            if not witness.verify(x, p, q):
+            if not witness._verify(x, p, q):
                 raise InvariantViolation(
                     f"constructed witness for p={p} does not expand from x")
             return witness

@@ -8,11 +8,12 @@ such as --n or --orbits below its least value, a reversed range, a value
 that cannot be evaluated exactly, or an --out path that cannot be
 written), 4 internal invariant violation.
 
-Every request takes one path: argparse, then ``_config_from`` (range
-checks and the common flags), then one ``cmd_*`` that returns the document
-and its tables with every cell already text, then ``_emit``.  JSON text
-comes from ``_json_text`` alone, byte-identical to ``json.dumps(doc,
-indent=2, sort_keys=True)``: a top-level table of string cells is written
+Every request takes one path: argparse, on one parser built per process,
+then ``_config_from`` (range checks and the common flags), then the
+``cmd_<command>`` found by name, which returns the document and its
+tables with every cell already text, then ``_emit``.  JSON text comes
+from ``_json_text`` alone, byte-identical to ``json.dumps(doc, indent=2,
+sort_keys=True)``: a top-level table of string cells is written
 from one template per table instead of through the pure-Python encoder
 that ``indent`` selects.  CSV text comes from ``_csv_text`` alone,
 byte-identical to ``csv.writer``: a table whose cells need no quoting is
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -507,7 +509,12 @@ def cmd_rational(args):
 # dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no command
+    function and no environment value: ``main`` finds ``cmd_<command>`` by
+    name on every call, and ``_config_from`` reads the environment after
+    parsing."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="64-bit master seed (default 0)")
@@ -532,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", type=int, default=None,
                    help="cap on the number of digits (default: the literal "
                         f"list length, else {_DEFAULT_LEN})")
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("classify", parents=[common],
                        help="candidate/realizability table")
@@ -541,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="denominator range N or LO..HI")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the divisor criterion by brute force")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="seeded joint-map orbits with digests and "
@@ -552,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of orbits (default 1)")
     p.add_argument("--y", default="golden",
                    help="y seed spec (default golden)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("growth", parents=[common],
                        help="denominator growth-rate estimate of one orbit")
@@ -562,7 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="explicit x seed (default: drawn from --seed)")
     p.add_argument("--n", type=int, default=100,
                    help="orbit length (default 100)")
-    p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("yofx", parents=[common],
                        help="y(x) scatter table on a uniform grid")
@@ -574,7 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="digits of y to keep")
     p.add_argument("--n", dest="numerator", type=int, default=None,
                    help="numerator for the greedy family")
-    p.set_defaults(func=cmd_yofx)
 
     p = sub.add_parser("rational", parents=[common],
                        help="every complete expansion of a rational")
@@ -583,7 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="keep only expansions of exactly this length")
     p.add_argument("--limit", type=int, default=None,
                    help="print at most this many rows (summary stays exact)")
-    p.set_defaults(func=cmd_rational)
     return parser
 
 
@@ -608,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _config_from(args)
-        doc, tables = args.func(args)
+        doc, tables = globals()[f"cmd_{args.command}"](args)
         doc.update(schema=_SCHEMA, command=args.command)
         _emit(doc, tables, args)
     except (InvariantViolation, MiddleCaseError) as exc:

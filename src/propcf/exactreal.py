@@ -28,6 +28,9 @@ Each exact operation has one body here:
 
 * order: one comparison body serves ``<``, ``<=``, ``>`` and ``>=``, on
   the sign ``_shift_sign`` (an int operand) or ``_diff_sign`` reads;
+* sign of q*u - p for integers q and p: ``_affine_sign(u, q, p)``, one
+  integer sign for a rational and one ``_root_sign`` for a surd;
+  ``_shift_sign(u, n)`` is its q = 1 case;
 * floor: ``floor_times(n, v)`` gives floor(n*v) from one integer square
   root (none for a rational) and builds no value; ``floor_exact(v)`` is
   ``floor_times(1, v)``;
@@ -540,12 +543,19 @@ def _root_sign(p: int, q: int, d: int) -> int:
     return (1 if p > 0 else -1) if p * p > q * q * d else (1 if q > 0 else -1)
 
 
-def _shift_sign(u, n: int) -> int:
-    """Sign of u - n for an integer n (r > 0, so it is that of r*(u - n))."""
+def _affine_sign(u, q: int, p: int) -> int:
+    """Sign of q*u - p for integers q and p, building no value: one integer
+    sign for a rational, one ``_root_sign`` for a surd (r > 0, so it is
+    that of r*(q*u - p))."""
     if isinstance(u, Rational):
-        t = u.num - n * u.den
+        t = q * u.num - p * u.den
         return (t > 0) - (t < 0)
-    return _root_sign(u.p - n * u.r, u.q, u.d)
+    return _root_sign(q * u.p - p * u.r, q * u.q, u.d)
+
+
+def _shift_sign(u, n: int) -> int:
+    """Sign of u - n for an integer n: ``_affine_sign`` with q = 1."""
+    return _affine_sign(u, 1, n)
 
 
 def _diff_sign(u, v) -> int:

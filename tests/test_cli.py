@@ -469,6 +469,46 @@ def test_unknown_format_in_the_environment_exit_code(capsys, monkeypatch):
     assert captured.err == "error: format must be json or csv\n"
 
 
+def test_one_parser_serves_calls_in_different_environments(capsys,
+                                                           monkeypatch):
+    # the parser is built once per process and the environment is read
+    # after parsing, so each call prints what a fresh process prints with
+    # that call's own PROPCF_FORMAT and PROPCF_SEED
+    argv = ("simulate", "--n", "20")
+    outputs = []
+    for fmt, seed in (("csv", "3"), ("json", "5")):
+        monkeypatch.setenv("PROPCF_FORMAT", fmt)
+        monkeypatch.setenv("PROPCF_SEED", seed)
+        code, out = run_main(capsys, *argv)
+        fresh = run_proc(*argv, env_extra={"PROPCF_FORMAT": fmt,
+                                           "PROPCF_SEED": seed})
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+        outputs.append(out)
+    assert outputs[0].startswith("# digests\norbit,seed,")
+    assert "\n0,3,20," in outputs[0]
+    assert json.loads(outputs[1])["digests"][0]["seed"] == "5"
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as stop:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ("--help",), ("classify", "--help"), (), ("classify", "golden", "--p"),
+    ("simulate", "--n", "x"), ("yofx", "--family", "gauss")))
+def test_cached_parser_prints_what_a_fresh_one_prints(capsys, argv):
+    expected = _parser_exit(capsys, cli._build_parser.__wrapped__().parse_args,
+                            argv)
+    assert expected[0] in (0, 2)
+    for _ in range(2):
+        assert _parser_exit(capsys, cli.main, argv) == expected
+
+
 def test_config_validation(capsys):
     for argv, flag, least in (
             (("growth", "--n", "0", "--x", "1/3"), "--n", 1),

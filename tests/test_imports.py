@@ -3,10 +3,11 @@ part of propcf, or a runtime dependency declared in pyproject.toml, only
 the Monte Carlo imports numpy and no CLI command loads it, every module
 parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
-four order comparisons share one body, only the floor, the step and
-the two square-root routines take integer square roots, only cli's
-``_csv_text`` writes CSV, and the classification sweeps call no public
-per-row function."""
+four order comparisons share one body, so does the sign of q*u - p,
+only the floor, the step and the two square-root routines take integer
+square roots, only cli's ``_csv_text`` writes CSV, the classification
+sweeps call no public per-row function, and the witness check reads
+neither the walk over remainders nor the divisor criterion."""
 
 import ast
 import os
@@ -156,6 +157,42 @@ def test_order_comparisons_share_one_body():
     codes = {ExactReal.__dict__[name].__code__
              for name in ("__lt__", "__le__", "__gt__", "__ge__")}
     assert len(codes) == 1
+
+
+def test_shift_sign_is_the_affine_sign():
+    """``_shift_sign(u, n)`` is ``_affine_sign(u, 1, n)`` and has no body of
+    its own: one sign of q*u - p serves comparisons with an int and the
+    witness cylinder test."""
+    tree = ast.parse((PACKAGE / "exactreal.py").read_text())
+    shift = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_shift_sign")
+    body = [node for node in shift.body
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Constant))]
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    call = body[0].value
+    assert isinstance(call, ast.Call)
+    assert getattr(call.func, "id", None) == "_affine_sign"
+
+
+def test_witness_check_reads_no_walk_and_no_criterion():
+    """``RealizationWitness.verify`` and its private body decide a witness
+    by its cylinder, so neither names the walk over the remainders, the
+    expansion step, the divisor criterion or its floor memo: a printed
+    witness stays checked apart from the rule that built it."""
+    tree = ast.parse((PACKAGE / "candidates.py").read_text())
+    witness = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                   and node.name == "RealizationWitness")
+    methods = {node.name: node for node in witness.body
+               if isinstance(node, ast.FunctionDef)}
+    named = {}
+    for name in ("verify", "_verify"):
+        named[name] = {node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(methods[name])
+                       if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "_verify" in named["verify"]
+    forbidden = {"_remainders", "_digit", "_fires", "_Floors"}
+    assert (named["verify"] | named["_verify"]) & forbidden == set()
 
 
 def _isqrt_callers(tree) -> set[str]:

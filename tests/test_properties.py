@@ -11,7 +11,8 @@ growth report past the float range,
 the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows
 against ``ConvergentSeq``, the classification sweeps' shared floor memo
-against the public per-p functions and the brute-force oracle, and the
+against the public per-p functions and the brute-force oracle, the
+witness check by cylinder against the walk over the remainders, and the
 CLI's JSON writer against ``json.dumps`` and its CSV writer against
 ``csv.writer``."""
 from __future__ import annotations
@@ -30,6 +31,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from propcf import cli
 from propcf.candidates import (
+    RealizationWitness,
+    _remainders,
     candidate_p_for_q,
     is_candidate,
     q2_cutoff_check,
@@ -46,6 +49,7 @@ from propcf.exactreal import (
     floor_exact,
     floor_times,
     frac_part,
+    is_zero,
     parse_exact,
     to_text,
     _digit,
@@ -62,6 +66,7 @@ from propcf.gauss2d import (
 from propcf.pcf import (
     ConvergentSeq,
     PCFExpansion,
+    PartialQuotient,
     enumerate_rational_expansions,
     expand,
     reconstruct,
@@ -664,6 +669,54 @@ def test_sweeps_match_per_p_references_and_oracle(x, low, width):
         if row["p_even"] is not None:
             found = realizable_as_q2_oracle(x, row["p_even"]) is not None
             assert found == row["even_realizable"], row
+
+
+@st.composite
+def _prefixes(draw):
+    """(x, digit pairs, index): the true digits of x for numerators 1..6,
+    with at most one b moved by one, any digits once the expansion has
+    ended, and an index anywhere in the prefix."""
+    x = draw(st.sampled_from(_REDUCED[:100])
+             | st.sampled_from(_FIELD_SPECS).map(parse_exact))
+    length = draw(st.integers(1, 4))
+    moved, shift = draw(st.integers(0, length)), draw(st.sampled_from((-1, 1)))
+    pairs, rem = [], x
+    for n in range(1, length + 1):
+        a = draw(st.integers(1, 6))
+        if is_zero(rem):
+            b = draw(st.integers(a, a + 2))
+        else:
+            b, rem = _digit(rem, a)
+            if n == moved:
+                b = max(a, b + shift)
+        pairs.append(PartialQuotient(a, b))
+    return x, tuple(pairs), draw(st.integers(1, length))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prefixes())
+# 1/2 = 1/(1 + 1/(1 + 0)): p_2/q_2 is x itself, but only with x_1 = 1
+@example((Rational(1, 2), (PartialQuotient(1, 1), PartialQuotient(1, 1)), 2))
+@example((Rational(2, 3), (PartialQuotient(2, 2), PartialQuotient(3, 3)), 1))
+# 1/2 = [1/2] ends after one digit, so no second digit expands from it
+@example((Rational(1, 2), (PartialQuotient(1, 2), PartialQuotient(1, 1)), 1))
+def test_witness_cylinder_matches_remainder_walk(case):
+    x, pairs, index = case
+    expands = _remainders(x, pairs) is not None
+    p, q = ConvergentSeq(pairs).pair(index)
+    witness = RealizationWitness(pairs, index)
+    assert witness.verify(x, p, q) == expands
+    assert not witness.verify(x, p, q + 1)
+
+
+def test_witness_landing_on_x_with_equal_last_digit_is_refused():
+    # x = 1/2 lies on the end p_2/q_2 = 1/2 of the cylinder of 1/1 1/1
+    # (s0 = 0), which a_2 = b_2 leaves out: it needs x_1 = 1
+    half = Rational(1, 2)
+    pairs = (PartialQuotient(1, 1), PartialQuotient(1, 1))
+    assert ConvergentSeq(pairs).pair(2) == (1, 2)
+    assert _remainders(half, pairs) is None
+    assert not RealizationWitness(pairs, 2).verify(half, 1, 2)
 
 
 # ---------------------------------------------------------------------------
