@@ -49,7 +49,6 @@ from .exactreal import (
 from .pcf import (
     MiddleCaseError,
     PCFExpansion,
-    _pairs_text,
     convergents,
     enumerate_rational_expansions,
     expand,
@@ -486,13 +485,14 @@ def cmd_rational(args):
     value = parse_x_spec(args.value)
     if not isinstance(value, Rational):
         raise UsageError("rational enumeration needs a rational value")
-    expansions = enumerate_rational_expansions(value, length=args.len)
-    sizes = [len(e.quotients) for e in expansions]
+    expansions = enumerate_rational_expansions(value, length=args.len,
+                                               text=True)
+    sizes = [e.count(" ") + 1 for e in expansions]
     lengths = sorted(set(sizes))
     rows = [{
         "index": str(i),
         "length": str(size),
-        "pairs": _pairs_text(e.quotients),
+        "pairs": e,
     } for i, (e, size) in enumerate(zip(expansions[:args.limit], sizes))]
     doc = {
         "value": to_text(value),

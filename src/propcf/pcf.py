@@ -12,8 +12,9 @@ the expansion (rationals always terminate, whatever the numerators).
 That step has one body, the ``exactreal`` kernel ``_digit(x, a)``, which
 builds a/x reduced and splits it into floor and remainder at once.
 ``pcf_step`` is its input checks plus one call.  The enumeration of a
-rational's expansions keeps its own inline integer step on purpose: it
-is on the tree's hot path (see ``enumerate_rational_expansions``).
+rational's expansions steps through its bare-int kernel ``_qdigit``, once
+per distinct reduced remainder and remaining length (see
+``enumerate_rational_expansions``).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .exactreal import (
     _at_least,
     _digit,
     _exact,
+    _qdigit,
     _tail,
     _unit,
 )
@@ -269,43 +271,59 @@ def rational_images(t0: int, s0: int) -> dict[Fraction, int]:
     return out
 
 
-def enumerate_rational_expansions(value, length: int | None = None) -> list[PCFExpansion]:
+def enumerate_rational_expansions(value, length: int | None = None, *,
+                                  text: bool = False) -> list:
     """Every complete expansion of a rational in (0,1), trying numerators
     1..t at each remainder t/s; optionally filtered to one exact length.
 
     The numerator at each level may not exceed the remainder's numerator
     (larger choices repeat the same images), so the tree is finite and the
     longest branch has exactly t0 digits.
+
+    The result is a list of ``PCFExpansion``, in depth-first order of the
+    numerators.  With ``text=True`` it is the same list as strings, each
+    expansion's pairs as "a1/b1 a2/b2 ..." (``_pairs_text``), and no
+    expansion object is built.
     """
     v = _unit(value, "value")
     if not isinstance(v, Rational):
         raise TypeError("enumeration works on rationals")
-    t0, s0 = v.num, v.den
-    results: list[PCFExpansion] = []
-    prefix: list[PartialQuotient] = []
-    # digit = floor(numerator*s/t) >= numerator, because t < s, and every
-    # complete branch ends on a zero remainder: both objects are built
-    # unchecked, and the expansions share one zero tail
-    quotient, complete, zero = (PartialQuotient._trusted,
-                                PCFExpansion._trusted, Rational(0))
+    found = _suffixes(v.num, v.den, length, {}, text)
+    if text:
+        return found
+    # every complete branch ends on a zero remainder: the expansions are
+    # built unchecked and share one zero tail
+    complete, zero = PCFExpansion._trusted, Rational(0)
+    return [complete(quotients, zero) for quotients in found]
 
-    def descend(t: int, s: int):
-        for numerator in range(1, t + 1):
-            # the step inline, not through exactreal._qdigit: the call per
-            # node cost about 4 % in median enumerate op time
-            digit = numerator * s // t
-            rem = numerator * s - digit * t
-            prefix.append(quotient(numerator, digit))
-            if rem == 0:
-                if length is None or len(prefix) == length:
-                    results.append(complete(tuple(prefix), zero))
-            elif length is None or len(prefix) < length:
-                g = gcd(rem, t)
-                descend(rem // g, t // g)
-            prefix.pop()
 
-    descend(t0, s0)
-    return results
+def _suffixes(t: int, s: int, left: int | None, memo: dict, text: bool) -> list:
+    """The complete suffixes below the reduced remainder t/s with ``left``
+    pairs (any number if None), in depth-first order: tuples of
+    ``PartialQuotient``, or their text if ``text``.
+
+    The subtree below t/s depends on (t, s) alone, so ``memo`` keeps each
+    (t, s, left) once and a parent prefixes its head to the child's list.
+    The digit floor(n*s/t) is at least n, because t < s, so the pairs are
+    built unchecked."""
+    key = (t, s, left)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = []
+    for n in range(1, t + 1):
+        b, r_num, r_den = _qdigit(t, s, n)
+        if r_num == 0:
+            if left is None or left == 1:
+                out.append(f"{n}/{b}" if text
+                           else (PartialQuotient._trusted(n, b),))
+        elif left is None or left > 1:
+            head = f"{n}/{b} " if text else (PartialQuotient._trusted(n, b),)
+            below = _suffixes(r_num, r_den, None if left is None else left - 1,
+                              memo, text)
+            out += [head + tail for tail in below]
+    memo[key] = out
+    return out
 
 
 def longest_chain(n: int) -> PCFExpansion:

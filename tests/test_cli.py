@@ -305,6 +305,15 @@ _PINNED_OUTPUT = (
     pytest.param(("rational", "5/6", "--len", "3"),
                  "f4b0c1cced4508d80d212a876e1fc022c3c6da1a8c0c0628132df34cc3e58c69",
                  id="rational-len"),
+    # --len deep in the tree: one subtree reached at several remaining
+    # lengths, cut by --limit
+    pytest.param(("rational", "16/19", "--len", "8", "--limit", "25"),
+                 "60c152cdf8fb3cbc8e2d323e3e9ffa5f821e01a154a2463f389694bc0b2dae57",
+                 id="rational-len-deep-json"),
+    pytest.param(("rational", "16/19", "--len", "8", "--limit", "25",
+                  "--format", "csv"),
+                 "a1dc384d13d2dca907d72f9b58fd189732d5b943bf7b5ce173290604afd1f876",
+                 id="rational-len-deep-csv"),
     pytest.param(("expand", "golden", "--numerators", "all:2", "--len", "200",
                   "--format", "json"),
                  "9b1661309ac475909bbd0a7750c85545a11ae63229ddd261acb784477ca68d8d",

@@ -136,10 +136,10 @@ def test_expansion_step_has_one_body():
     bare-int kernel _qdigit alone: no other module may define either or
     split a quotient with divmod.
 
-    The tree of ``pcf.enumerate_rational_expansions`` keeps its inline
-    integer step (``//``, not ``divmod``), on purpose: stepping it through
-    ``_qdigit`` raised the enumerate workload's median operation time from
-    0.0844 to 0.0879 s, worse in 6 of 6 alternating 10 s runs."""
+    The tree of ``pcf.enumerate_rational_expansions`` steps through
+    ``_qdigit`` too: it is memoised over (t, s, remaining length), so the
+    step runs once per distinct reduced remainder (639 times for 18/19,
+    against 43,403 nodes), and an inline copy would buy nothing."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -20,6 +20,7 @@ from propcf.pcf import (
     NotCoprime,
     PCFExpansion,
     PartialQuotient,
+    _pairs_text,
     convergents,
     enumerate_rational_expansions,
     expand,
@@ -256,6 +257,45 @@ def test_enumeration_is_deterministic():
     a = enumerate_rational_expansions(Fraction(4, 7))
     b = enumerate_rational_expansions(Fraction(4, 7))
     assert a == b
+
+
+def _descend_reference(t0: int, s0: int, length: int | None) -> list:
+    """Every complete expansion of t0/s0 as a tuple of digit pairs, walked
+    node by node: numerators 1..t at each remainder t/s, the step in plain
+    integers, a leaf taken in turn among its siblings' subtrees."""
+    results, prefix = [], []
+
+    def descend(t: int, s: int):
+        for numerator in range(1, t + 1):
+            digit = numerator * s // t
+            rem = numerator * s - digit * t
+            prefix.append((numerator, digit))
+            if rem == 0:
+                if length is None or len(prefix) == length:
+                    results.append(tuple(prefix))
+            elif length is None or len(prefix) < length:
+                g = gcd(rem, t)
+                descend(rem // g, t // g)
+            prefix.pop()
+
+    descend(t0, s0)
+    return results
+
+
+def test_enumeration_memo_matches_node_walk():
+    # every reduced t/s with s <= 15, unfiltered and at every length 1..t+1
+    for s in range(2, 16):
+        for t in range(1, s):
+            if gcd(t, s) != 1:
+                continue
+            for length in (None, *range(1, t + 2)):
+                walk = _descend_reference(t, s, length)
+                full = enumerate_rational_expansions(Rational(t, s), length)
+                assert [tuple(e.pairs()) for e in full] == walk
+                assert all(e.is_complete() for e in full)
+                text = enumerate_rational_expansions(Rational(t, s), length,
+                                                     text=True)
+                assert text == [_pairs_text(e.quotients) for e in full]
 
 
 def test_longest_chain_values():
