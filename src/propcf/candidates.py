@@ -41,6 +41,7 @@ from .exactreal import (
     _at_least,
     _digit,
     _exact,
+    _margin,
     _tail,
     _unit,
     floor_exact,
@@ -230,12 +231,13 @@ def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
 
 def approximation_margins(x, expansion: PCFExpansion) -> list[ExactReal]:
     """x - |q_n x - p_n| for each prefix length n >= 1 (positive for any
-    expansion of x, at every index)."""
+    expansion of x, at every index), each built by ``_margin``."""
     x = _unit(x)
     cv = convergents(expansion)
     out = []
     for n in range(1, len(expansion) + 1):
-        out.append(x - abs(cv.q(n) * x - cv.p(n)))
+        p, q = cv.pair(n)
+        out.append(_margin(x, q, p))
     return out
 
 

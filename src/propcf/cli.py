@@ -36,6 +36,7 @@ import sys
 from collections import Counter
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 
@@ -334,10 +335,14 @@ def cmd_expand(args):
         if residual != 0:
             raise InvariantViolation(
                 f"determinant identity failed at index {n}")
+        # the identity just checked makes every common divisor of p and q
+        # divide the product a_1...a_n, so the gcd starts from it
+        g = gcd(product, q, p)
+        num, den = p // g, q // g  # q_n >= 1 for n >= 1
         rows.append({
             "n": str(n), "a": str(quot.a), "b": str(quot.b),
             "p": str(p), "q": str(q),
-            "reduced": to_text(Rational(p, q)),  # q_n >= 1 for n >= 1
+            "reduced": str(num) if den == 1 else f"{num}/{den}",
             "det_residual": str(residual),
             "margin": to_text(margin),
         })

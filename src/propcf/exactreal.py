@@ -30,7 +30,8 @@ Each exact operation has one body here:
   the sign ``_shift_sign`` (an int operand) or ``_diff_sign`` reads;
 * sign of q*u - p for integers q and p: ``_affine_sign(u, q, p)``, one
   integer sign for a rational and one ``_root_sign`` for a surd;
-  ``_shift_sign(u, n)`` is its q = 1 case;
+  ``_shift_sign(u, n)`` is its q = 1 case, and the margin
+  ``_margin(u, q, p)``, u - |q*u - p| in one constructor, reads it;
 * floor: ``floor_times(n, v)`` gives floor(n*v) from one integer square
   root (none for a rational) and builds no value; ``floor_exact(v)`` is
   ``floor_times(1, v)``;
@@ -556,6 +557,19 @@ def _affine_sign(u, q: int, p: int) -> int:
 def _shift_sign(u, n: int) -> int:
     """Sign of u - n for an integer n: ``_affine_sign`` with q = 1."""
     return _affine_sign(u, 1, n)
+
+
+def _margin(u, q: int, p: int):
+    """u - |q*u - p| for integers q and p, built by one constructor: with
+    s the ``_affine_sign`` of q*u - p, it is (N - s*(q*N - p*D))/D for a
+    rational N/D, and (P - s*(q*P - p*R) + (Q - s*q*Q)*sqrt(d))/R for a
+    surd."""
+    s = _affine_sign(u, q, p)
+    if isinstance(u, Rational):
+        n, d = u.num, u.den
+        return Rational(n - s * (q * n - p * d), d)
+    return Surd(u.p - s * (q * u.p - p * u.r), u.q - s * q * u.q, u.d, u.r,
+                _squarefree=True)
 
 
 def _diff_sign(u, v) -> int:

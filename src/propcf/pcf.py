@@ -68,15 +68,6 @@ class PartialQuotient:
         if self.a < 1 or self.b < self.a:
             raise ImproperDigits(f"need b >= a >= 1, got {self.a}/{self.b}")
 
-    @classmethod
-    def _trusted(cls, a: int, b: int) -> "PartialQuotient":
-        """The pair a/b, unchecked: the caller guarantees integers with
-        b >= a >= 1."""
-        self = object.__new__(cls)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        return self
-
     def __str__(self):
         return f"{self.a}/{self.b}"
 
@@ -303,9 +294,8 @@ def _suffixes(t: int, s: int, left: int | None, memo: dict, text: bool) -> list:
     ``PartialQuotient``, or their text if ``text``.
 
     The subtree below t/s depends on (t, s) alone, so ``memo`` keeps each
-    (t, s, left) once and a parent prefixes its head to the child's list.
-    The digit floor(n*s/t) is at least n, because t < s, so the pairs are
-    built unchecked."""
+    (t, s, left) once and a parent prefixes its head to the child's list;
+    each pair is built, and checked, once per memo entry and numerator."""
     key = (t, s, left)
     out = memo.get(key)
     if out is not None:
@@ -315,10 +305,9 @@ def _suffixes(t: int, s: int, left: int | None, memo: dict, text: bool) -> list:
         b, r_num, r_den = _qdigit(t, s, n)
         if r_num == 0:
             if left is None or left == 1:
-                out.append(f"{n}/{b}" if text
-                           else (PartialQuotient._trusted(n, b),))
+                out.append(f"{n}/{b}" if text else (PartialQuotient(n, b),))
         elif left is None or left > 1:
-            head = f"{n}/{b} " if text else (PartialQuotient._trusted(n, b),)
+            head = f"{n}/{b} " if text else (PartialQuotient(n, b),)
             below = _suffixes(r_num, r_den, None if left is None else left - 1,
                               memo, text)
             out += [head + tail for tail in below]

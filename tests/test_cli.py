@@ -14,6 +14,7 @@ import pytest
 
 from propcf import candidates, cli
 from propcf.candidates import InvariantViolation
+from propcf.exactreal import Rational, to_text
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +87,42 @@ def test_expand_family_numerators(capsys):
     doc = run_json(capsys, "expand", "(sqrt5-1)/2",
                    "--numerators", "varnum", "--len", "5")
     assert [(p["a"], p["b"]) for p in doc["pairs"]] == [("1", "1")] * 5
+
+
+@pytest.mark.parametrize("x", ("113/331", "(sqrt13-3)/2", "5/6", "golden"))
+@pytest.mark.parametrize("spec", ("all:1", "all:6", "varnum", "engel",
+                                  "rcf-of:sqrt2-1", "4,3,2,1,1,6,6"))
+def test_expand_reduced_cells_are_lowest_terms(capsys, x, spec):
+    # the reduced cell divides p and q by gcd(a_1...a_n, q, p); every spec
+    # but all:1 has rows with gcd(p, q) > 1 on some of these x
+    doc = run_json(capsys, "expand", x, "--numerators", spec, "--len", "40")
+    for row in doc["convergents"]:
+        assert row["reduced"] == to_text(Rational(int(row["p"]),
+                                                  int(row["q"])))
+
+
+def test_expand_determinant_failure_exit_code(capsys, monkeypatch):
+    # the gcd behind the reduced cell starts from a_1...a_n, which bounds
+    # it only once the determinant identity holds; a convergent scaled by
+    # 7, a factor of no numerator, must stop the command at its index
+    # before any row is printed
+    real = cli.convergents
+
+    class Scaled:
+        def __init__(self, expansion):
+            self.cv = real(expansion)
+
+        def pair(self, n):
+            p, q = self.cv.pair(n)
+            return (7 * p, 7 * q) if n == 3 else (p, q)
+
+    monkeypatch.setattr(cli, "convergents", Scaled)
+    for fmt in ("json", "csv"):
+        code = cli.main(["expand", "golden", "--numerators", "all:2",
+                         "--len", "8", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVARIANT and captured.out == ""
+        assert "determinant identity failed at index 3" in captured.err
 
 
 def test_expand_rejects_bad_numerator_specs(capsys):
@@ -325,6 +362,14 @@ _PINNED_OUTPUT = (
     pytest.param(("expand", "5/6", "--numerators", "4,3,2,1,1"),
                  "29913ae4d7d1c64e1d0c88dbdd5e37709ce72f11fbc14c35175786a339fe7d31",
                  id="expand-literal"),
+    # rational x with rows whose gcd(p, q) > 1, ending on a zero tail
+    pytest.param(("expand", "113/331", "--numerators", "all:6", "--format",
+                  "csv"),
+                 "746957c42058b241d78c6eb39825f533615c5b12e8b8e80a166436e4975980bd",
+                 id="expand-rational-gcd-csv"),
+    pytest.param(("expand", "113/331", "--numerators", "varnum"),
+                 "1c616bb26207dd79e3dbd5256e692e9f9eb0e5fd48db1d479e9d689ce5986db4",
+                 id="expand-rational-varnum"),
     pytest.param(("classify", "golden", "--p", "1..60", "--oracle"),
                  "655e8110cc589408acafdbc9aec29b83b885ff6facb382d3906b385f961056f7",
                  id="classify-p-oracle"),

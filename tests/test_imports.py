@@ -4,6 +4,7 @@ the Monte Carlo imports numpy and no CLI command loads it, every module
 parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
 four order comparisons share one body, so does the sign of q*u - p,
+which the one-constructor margin reads,
 only the floor, the step and the two square-root routines take integer
 square roots, only cli's ``_csv_text`` writes CSV, the classification
 sweeps call no public per-row function, and the witness check reads
@@ -173,6 +174,29 @@ def test_shift_sign_is_the_affine_sign():
     call = body[0].value
     assert isinstance(call, ast.Call)
     assert getattr(call.func, "id", None) == "_affine_sign"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / module).read_text())
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == name)
+
+
+def test_margin_is_one_constructor_on_the_affine_sign():
+    """``_margin(u, q, p)`` reads the sign of q*u - p from ``_affine_sign``
+    and builds u - |q*u - p| with one constructor per type, and
+    ``approximation_margins`` calls it per row instead of chaining
+    operators on exact values."""
+    calls = [getattr(node.func, "id", None)
+             for node in ast.walk(_function("exactreal.py", "_margin"))
+             if isinstance(node, ast.Call)]
+    assert calls.count("_affine_sign") == 1
+    assert sorted(c for c in calls if c in ("Rational", "Surd")) == [
+        "Rational", "Surd"]
+    margins = _function("candidates.py", "approximation_margins")
+    names = {node.id for node in ast.walk(margins)
+             if isinstance(node, ast.Name)}
+    assert "_margin" in names and "abs" not in names
 
 
 def test_witness_check_reads_no_walk_and_no_criterion():

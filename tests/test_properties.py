@@ -33,6 +33,7 @@ from propcf import cli
 from propcf.candidates import (
     RealizationWitness,
     _remainders,
+    approximation_margins,
     candidate_p_for_q,
     is_candidate,
     q2_cutoff_check,
@@ -53,6 +54,7 @@ from propcf.exactreal import (
     parse_exact,
     to_text,
     _digit,
+    _margin,
     _qdigit,
 )
 from propcf.gauss2d import (
@@ -598,6 +600,44 @@ def test_expand_rows_match_convergent_reference(spec, numerators):
             "n": str(n), "a": str(a), "b": str(expansion.digits()[n - 1]),
             "p": str(p), "q": str(q), "reduced": to_text(Rational(p, q)),
             "det_residual": "0", "margin": to_text(x - abs(q * x - p))}
+
+
+def _assert_same_value(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_fractions(200), st.sampled_from((5, 2, 7, 13)), _root_forms(),
+       st.integers(0, 3) | _magnitude(2000), _signed(2000) | st.just(0),
+       _magnitude(64))
+def test_margin_kernel_matches_chained_reference(f, d, form, q, p, k):
+    # the one-constructor margin against x - abs(q*x - p) built step by
+    # step, on rationals and surds in (0, 1) (the four benchmark values and
+    # the fractional part of a random surd) and any q >= 0 and p; on a
+    # rational x, q*x - p = 0 at (k*den, k*num) and the margin is x itself
+    fp, fq, fr = form
+    values = [_rational(f)] + [parse_exact(spec) for spec in _FIELD_SPECS]
+    extra = frac_part(Surd(fp, fq, d, fr))
+    if not is_zero(extra):
+        values.append(extra)
+    for x in values:
+        _assert_same_value(_margin(x, q, p), x - abs(q * x - p))
+        if isinstance(x, Rational):
+            _assert_same_value(_margin(x, k * x.den, k * x.num), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FIELD_SPECS)
+       | _unit_fractions(64).map(lambda f: f"{f.numerator}/{f.denominator}"),
+       st.lists(st.integers(1, 60), min_size=1, max_size=80))
+def test_approximation_margins_match_chained_reference(spec, numerators):
+    x = parse_exact(spec)
+    expansion = expand(x, numerators)
+    cv = ConvergentSeq(expansion)
+    margins = approximation_margins(x, expansion)
+    assert len(margins) == len(expansion)
+    for n, margin in enumerate(margins, start=1):
+        _assert_same_value(margin, x - abs(cv.q(n) * x - cv.p(n)))
 
 
 # ---------------------------------------------------------------------------
