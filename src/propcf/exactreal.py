@@ -42,8 +42,13 @@ Each exact operation has one body here:
   together, from one gcd and one divmod for a rational and one gcd and one
   integer square root for a surd.  Its rational branch is ``_qdigit(num,
   den, n)``, the same step on bare ints: it returns the digit and the
-  remainder's (num, den) and builds no object, so exact orbits walk a
-  rational coordinate without a ``Rational`` per step.
+  remainder's (num, den) and builds no object;
+* walk: ``_qwalk(num, den, numerators)`` takes those steps under a
+  sequence of numerators until num reaches 0, in Lehmer blocks: each
+  block steps the leading bits of num and den through ``_qdigit`` and is
+  accepted whole by one integer cylinder test, so exact orbits walk a
+  rational coordinate with a few big-integer products per block instead
+  of a big division per step.
 
 ``fractions.Fraction`` is accepted as input and never used to compute.
 
@@ -498,19 +503,88 @@ def _int_over(n: int, u):
 
 
 def _qdigit(num: int, den: int, n: int) -> tuple[int, int, int]:
-    """The expansion step on a bare rational u = num/den (reduced, den > 0,
-    num != 0): floor(n/u) and the reduced numerator and denominator of
+    """The expansion step on a bare rational u = num/den (den > 0,
+    num != 0): floor(n/u) and the numerator and denominator of
     n/u - floor(n/u), from one gcd and one divmod, building no object.
 
-    n/u = n*den/num is built reduced, as ``_int_over`` builds it; moving
-    its numerator by a multiple of its denominator keeps it reduced, so the
-    remainder needs no second gcd."""
+    n/u = n*den/num is built reduced when num/den is, as ``_int_over``
+    builds it; moving its numerator by a multiple of its denominator keeps
+    it reduced, so the remainder needs no second gcd.  An unreduced num/den
+    gives the same digit and a remainder of the same value, which
+    ``_qwalk`` relies on when it steps a truncation."""
     g = gcd(n, num)
     if num < 0:
         g = -g  # the sign moves to the numerator
     r_den = num // g
     b, r_num = divmod(den * (n // g), r_den)
     return b, r_num, r_den
+
+
+# ``_qwalk`` walks a block on this many leading bits of num and den, and
+# ends it while the truncation's error, carried to the block's remainder,
+# is below 2^-_BLOCK_MARGIN
+_BLOCK_BITS = 256
+_BLOCK_MARGIN = 32
+
+
+def _qwalk(num: int, den: int, numerators) -> tuple[list[tuple[int, int]], int, int]:
+    """The expansion steps of num/den (0 <= num < den) under the sequence
+    ``numerators``, a_1, a_2, ... in turn, until num reaches 0 or the
+    numerators run out: the digit pairs (a_k, b_k) and the final (num,
+    den), as one ``_qdigit`` per step gives them.  Neither depends on
+    whether num/den is reduced, and the final pair is reduced if it was.
+
+    It steps in blocks, as Lehmer's gcd does for large numbers (Knuth,
+    TAOCP vol. 2, section 4.5.2, Algorithm L).  A block walks the leading
+    H = ``_BLOCK_BITS`` bits of num and den through ``_qdigit``, keeping
+    the digits' convergents p_k/q_k and the numerators' product
+    P = a_1...a_k.  Truncating moves num/den by about 2^-H, which k steps
+    carry to about P*2^H/t^2 in the remainder, t the truncation's
+    denominator by then; so the block ends once 2*bits(t) is down to
+    H + bits(P) + ``_BLOCK_MARGIN``.  The whole block holds for num/den
+    exactly when its remainder
+    U/V = (p_k den - q_k num)/(q_{k-1} num - p_{k-1} den), signed so that
+    V > 0, has 0 <= U < V, unless U = 0 and a_k = b_k (the remainder
+    before step k is then 1): the cylinder test of
+    ``RealizationWitness.verify``, in integers.  A refused block gives way
+    to one exact step.  The block's determinant is +-P, so a factor
+    common to U and V but not to num and den divides P, and one gcd
+    against P removes it."""
+    pairs: list[tuple[int, int]] = []
+    count = len(numerators)
+    limit = _BLOCK_BITS + _BLOCK_MARGIN
+    i = 0
+    while num and i < count:
+        shift = den.bit_length() - _BLOCK_BITS
+        if shift > 0:
+            t_num, t_den = num >> shift, den >> shift
+            p0, q0, p1, q1, product = 1, 0, 0, 1, 1
+            block = []
+            j = i
+            while (t_num and j < count
+                   and 2 * t_den.bit_length() > limit + product.bit_length()):
+                a = numerators[j]
+                b, t_num, t_den = _qdigit(t_num, t_den, a)
+                p0, p1 = p1, b * p1 + a * p0
+                q0, q1 = q1, b * q1 + a * q0
+                product *= a
+                block.append((a, b))
+                j += 1
+            if block:
+                u, v = p1 * den - q1 * num, q0 * num - p0 * den
+                if v < 0:
+                    u, v = -u, -v
+                if 0 <= u < v and (u or a != b):
+                    g = gcd(product, u, v)
+                    num, den = (u // g, v // g) if g > 1 else (u, v)
+                    pairs += block
+                    i = j
+                    continue
+        a = numerators[i]
+        b, num, den = _qdigit(num, den, a)
+        pairs.append((a, b))
+        i += 1
+    return pairs, num, den
 
 
 def _digit(u, n: int) -> tuple[int, ExactReal]:

@@ -15,23 +15,25 @@ gives the constant-numerator greedy expansion.
 
 Orbits are exact whenever the seeds are exact; a float fallback exists
 for long ergodic-statistics runs where digit-level fidelity is not needed.
-Since y moves on its own, an orbit reads y's classical digits once, in
-one lazy walk: a rational y's run out, and a quadratic y's are cycled
-from their first repeated remainder on.  Only x takes a step per digit
-pair; ``_step``, both halves at once, serves single steps and cells.
-A rational coordinate of an orbit is walked as two bare ints through
-``exactreal._qdigit``, the kernel of ``_digit``'s rational branch, so no
-``Rational`` is built per step; a surd x steps through ``_digit``, since a
+Since y moves on its own, an orbit reads y's first n classical digits
+once: a rational y's may run out, and a quadratic y's are cycled from
+their first repeated remainder on.  Then x takes its steps under them;
+``_step``, both halves at once, serves single steps and cells.
+A rational coordinate of an orbit, x or y, is walked as two bare ints by
+``exactreal._qwalk``, in blocks that step the leading bits through
+``_qdigit`` (the kernel of ``_digit``'s rational branch) and are checked
+by one cylinder test each, so no ``Rational`` is built and no big
+division is taken per step; a surd x steps through ``_digit``, since a
 surd never reaches zero.  The growth samples come from the orbit's
 convergent denominators alone: ``ConvergentSeq`` builds its numerators
-only when they are read.
+only when they are read, and ``growth_exponent`` takes the logs of the
+final half alone.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, islice
 
@@ -42,7 +44,7 @@ from .exactreal import (
     _at_least,
     _digit,
     _exact,
-    _qdigit,
+    _qwalk,
     _tail,
     _unit,
     floor_exact,
@@ -154,12 +156,16 @@ class OrbitRecord:
     """Digits, convergents and growth samples of one orbit.
 
     ``terminated_by`` is None for a full-length run, otherwise one of
-    "x_zero", "y_zero", "both_zero".
+    "x_zero", "y_zero", "both_zero".  ``growth_samples`` are the pairs
+    (k, log(q_k)/k); an exact orbit leaves them to be built from its
+    convergents on first read, and ``growth_exponent`` builds only the
+    final half it reads.
     """
 
     digits: tuple[tuple[int, int], ...]
     convergents: ConvergentSeq | None
-    growth_samples: tuple[tuple[int, float], ...]
+    _samples: tuple[tuple[int, float], ...] | None = field(compare=False,
+                                                            repr=False)
     requested: int
     terminated_by: str | None = None
 
@@ -171,6 +177,29 @@ class OrbitRecord:
     def truncated(self) -> bool:
         return self.steps < self.requested
 
+    @property
+    def growth_samples(self) -> tuple[tuple[int, float], ...]:
+        if self._samples is None:
+            object.__setattr__(self, "_samples",
+                               _log_samples(self.convergents, 1))
+        return self._samples
+
+    def _final_samples(self) -> tuple[int, tuple[tuple[int, float], ...]]:
+        """How many growth samples there are, and those from index
+        count // 2 on, built alone if the rest have not been."""
+        if self._samples is not None:
+            count = len(self._samples)
+            return count, self._samples[count // 2:]
+        count = self.convergents.length
+        return count, _log_samples(self.convergents, count // 2 + 1)
+
+
+def _log_samples(cs: ConvergentSeq, start: int) -> tuple[tuple[int, float], ...]:
+    """(k, log(q_k)/k) for k = start, ..., the last index of cs."""
+    return tuple((k, math.log(q) / k)
+                 for k, q in enumerate(islice(cs._q, start + 1, None),
+                                       start=start))
+
 
 def orbit(x0, y0, n: int) -> OrbitRecord:
     """n exact joint steps from (x0, y0), or as many as exist.
@@ -181,56 +210,49 @@ def orbit(x0, y0, n: int) -> OrbitRecord:
     """
     _at_least("n", n, 0)
     x, y = _unit(x0, "x0"), _unit(y0, "y0")
-    digits: list[tuple[int, int]] = []
-    terminated_by = None
-    # the walk runs out exactly when y has reached zero
-    numerators = islice(_classical_digits(y), n)
+    # fewer than n numerators means y has reached zero
+    numerators = _classical_digits(y, n)
     if isinstance(x, Rational):
-        # x walks as two bare ints through the step's kernel
-        num, den = x.num, x.den
-        for a in numerators:
-            if not num:
-                terminated_by = "x_zero"
-                break
-            b, num, den = _qdigit(num, den, a)
-            digits.append((a, b))
+        digits, num, _ = _qwalk(x.num, x.den, numerators)
         x_zero = not num
     else:
+        digits = []
         for a in numerators:  # a surd never reaches zero
             b, x = _digit(x, a)
             digits.append((a, b))
         x_zero = False
-    if terminated_by is None and len(digits) < n:
+    terminated_by = None
+    if len(digits) < len(numerators):
+        terminated_by = "x_zero"  # with a numerator still to come
+    elif len(digits) < n:
         terminated_by = "both_zero" if x_zero else "y_zero"
-    cs = ConvergentSeq(digits)
-    samples = tuple((k, math.log(q) / k)
-                    for k, q in enumerate(islice(cs._q, 2, None), start=1))
-    return OrbitRecord(tuple(digits), cs, samples, n, terminated_by)
+    return OrbitRecord(tuple(digits), ConvergentSeq(digits), None, n,
+                       terminated_by)
 
 
-def _classical_digits(y: ExactReal) -> Iterator[int]:
-    """y's classical digits, read once and lazily: the a-digits of every
-    orbit from y, whatever x is.
+def _classical_digits(y: ExactReal, n: int) -> list[int]:
+    """y's first n classical digits, or all of them if y is a rational
+    with fewer: the a-digits of every orbit from y, whatever x is.
 
-    A rational y is walked as two bare ints and runs out at its zero
-    remainder; its remainders never repeat, so none is remembered.  A
-    surd's remainders are eventually periodic (Lagrange), so its walk
-    stops at the first one that repeats and cycles the period from there.
+    A rational y is walked in blocks by ``_qwalk``, under numerators 1,
+    no more of them than n or than its digits can number: by Lame's
+    theorem, fewer than 2*bits(den) + 2.  A surd's remainders are
+    eventually periodic (Lagrange), so its walk stops at the first one
+    that repeats and cycles the period from there.
     """
     if isinstance(y, Rational):
-        num, den = y.num, y.den
-        while num:
-            a, num, den = _qdigit(num, den, 1)
-            yield a
-        return
+        ones = [1] * min(n, 2 * y.den.bit_length() + 2)
+        pairs, _, _ = _qwalk(y.num, y.den, ones)
+        return [a for _, a in pairs]
     first: dict[Surd, int] = {}  # remainder -> index of the digit it gives
     digits: list[int] = []
-    while y not in first:
+    while len(digits) < n and y not in first:
         first[y] = len(digits)
         a, y = _digit(y, 1)
         digits.append(a)
-        yield a
-    yield from cycle(digits[first[y]:])
+    if len(digits) < n:
+        digits += islice(cycle(digits[first[y]:]), n - len(digits))
+    return digits
 
 
 def float_orbit(x0: float, y0: float, n: int) -> OrbitRecord:
@@ -307,23 +329,23 @@ def growth_exponent(x0, y0, n: int, record: OrbitRecord | None = None) -> Growth
     """
     if record is None:
         record = orbit(x0, y0, n)
-    samples = record.growth_samples
-    if not samples:
+    count, half = record._final_samples()
+    if not count:
         return GrowthReport(math.nan, math.nan, math.nan, False,
                             record.truncated, 0, record.requested)
     # exp overflows a float past log q_k / k of about 709.78, as for a
     # first digit beyond e^709.78; the last sample is in the final quarter,
     # so an infinite estimate makes the oscillation infinite too
     try:
-        estimate = math.exp(samples[-1][1])
+        estimate = math.exp(half[-1][1])
     except OverflowError:
         estimate = math.inf
-    quarter = samples[(3 * len(samples)) // 4:]
+    # the final quarter, from index 3 * count // 4, lies inside the half
+    quarter = half[(3 * count) // 4 - count // 2:]
     try:
         oscillation = max(abs(math.exp(v) - estimate) for _, v in quarter)
     except OverflowError:
         oscillation = math.inf
-    half = samples[len(samples) // 2:]
     if len(half) >= 2:
         mean_k = math.fsum(k for k, _ in half) / len(half)
         pivot = half[len(half) // 2][1]

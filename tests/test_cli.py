@@ -332,7 +332,20 @@ def test_byte_identical_reruns():
 # and the commands; the four simulate and growth pins were taken again when
 # trend_slope moved from numpy's polyfit to math.fsum sums, after a diff of
 # 160 simulate and growth outputs showed only trend_slope cells changed
+# a rational y of 4,492 bits, whose classical digits outlast 2,000 steps
+_BIG_RATIONAL_Y = f"{3**2833}/{7**1600}"
+
 _PINNED_OUTPUT = (
+    # 2,000-step orbits from seeds of about 4,450 bits: long walks of x,
+    # and of y too in the second pin, recorded before x and y were walked
+    # in blocks of leading bits
+    pytest.param(("simulate", "--n", "2000", "--orbits", "2", "--seed", "11"),
+                 "06feda720e69495d9df077c25dd5a15a7f0a84916026a3a96e55d56dc97b76e9",
+                 id="simulate-long"),
+    pytest.param(("simulate", "--n", "2000", "--orbits", "2", "--seed", "11",
+                  "--y", _BIG_RATIONAL_Y),
+                 "256107cd9540458a57cb2c38396330b294814624d5aca0bc09057c76e133e417",
+                 id="simulate-long-rational-y"),
     pytest.param(("rational", "12/19"),
                  "18eb4b1af16c40c7924e7ea3befa41c4cf985dc4c7705b15eb483d998e098a44",
                  id="rational-json"),

@@ -315,3 +315,17 @@ def test_csv_has_one_writer():
         visit(ast.parse(path.read_text(), filename=str(path)), path, ())
     assert imports == [("cli.py", "import csv")]
     assert callers == {("cli.py", "_csv_text")}
+
+
+def test_rational_coordinates_walk_in_blocks():
+    """An orbit walks a rational x, and reads a rational y's digits,
+    through ``exactreal._qwalk``: ``orbit`` and ``_classical_digits`` each
+    call it and neither names ``_qdigit``, so a rational coordinate has one
+    walk."""
+    for name in ("orbit", "_classical_digits"):
+        function = _function("gauss2d.py", name)
+        calls = [getattr(node.func, "id", None)
+                 for node in ast.walk(function) if isinstance(node, ast.Call)]
+        names = {node.id for node in ast.walk(function)
+                 if isinstance(node, ast.Name)}
+        assert calls.count("_qwalk") == 1 and "_qdigit" not in names

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,6 +57,7 @@ from propcf.exactreal import (
     _digit,
     _margin,
     _qdigit,
+    _qwalk,
 )
 from propcf.gauss2d import (
     JointState,
@@ -354,6 +356,74 @@ def test_bare_int_kernel_matches_digit(f, n):
     u = _rational(f)
     digit, rem = _digit(u, n)
     assert _qdigit(u.num, u.den, n) == (digit, rem.num, rem.den)
+
+
+def _one_step_walk(num, den, numerators):
+    """The walk ``_qwalk`` does in blocks, one ``_qdigit`` per numerator
+    until num reaches 0."""
+    pairs = []
+    for a in numerators:
+        if not num:
+            break
+        b, num, den = _qdigit(num, den, a)
+        pairs.append((a, b))
+    return pairs, num, den
+
+
+def _near_short_rational(pairs, m, d, extra):
+    """(m*p + d, m*q) and numerators for the value p/q of a few digit
+    pairs (the last with b > a), under the pairs' numerators and then
+    ``extra``.  With d = 0 the walk reaches 0 after those pairs, inside a
+    block once m*q has more bits than a block reads; a truncation rounded
+    one way then reads b - 1 and a remainder near 1, the other way b and a
+    remainder near 0."""
+    p, q = ConvergentSeq(pairs).last()
+    return m * p + d, m * q, [a for a, _ in pairs] + list(extra)
+
+
+@st.composite
+def _walk_cases(draw):
+    """(num, den, numerators) with 0 <= num < den: random operands of 8 to
+    6,000 bits, or a multiple of a short rational, moved by d in
+    {-1, 0, 1}, of up to 6,000 bits; numerators all 1, or up to 2, 30 or
+    1,000."""
+    rng = random.Random(draw(st.integers(0, 1 << 64)))
+    top = draw(st.sampled_from((1, 2, 30, 1000)))
+
+    def numerators(count):
+        return [rng.randint(1, top) for _ in range(count)]
+
+    if draw(st.booleans()):
+        bits = draw(st.integers(8, 6000))
+        den = rng.getrandbits(bits) | (1 << (bits - 1))
+        return rng.randrange(den), den, numerators(draw(st.integers(0, 4000)))
+    pairs = []
+    for a in numerators(draw(st.integers(1, 12))):
+        pairs.append((a, a + rng.randint(0, 5)))
+    a, b = pairs[-1]
+    pairs[-1] = (a, b + 1)
+    m = 2 + rng.getrandbits(draw(st.integers(1, 6000)))
+    d = draw(st.sampled_from((-1, 0, 1)))
+    count = draw(st.integers(0, 2) | st.integers(3, 3000))
+    return _near_short_rational(pairs, m, d, numerators(count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_cases())
+# 2/3 as 2*7^k / 3*7^k, of about 270 bits: for k = 96 the block reads
+# 1/1 1/1 1/1 and U = 0 with a = b, for k = 95 it reads 1/1 1/2 and a huge
+# digit, and V = 0; each block must be refused
+@example(_near_short_rational(((1, 1), (1, 2)), 7**96, 0, (1,)))
+@example(_near_short_rational(((1, 1), (1, 2)), 7**95, 0, (1,)))
+def test_block_walk_matches_one_step_walk(case):
+    num, den, numerators = case
+    pairs, end_num, end_den = _qwalk(num, den, numerators)
+    ref_pairs, ref_num, ref_den = _one_step_walk(num, den, numerators)
+    assert pairs == ref_pairs
+    assert (end_num == 0) == (ref_num == 0)
+    assert end_num * ref_den == ref_num * end_den
+    if math.gcd(num, den) == 1:
+        assert (end_num, end_den) == (ref_num, ref_den)
 
 
 def _divisors_of(n: int) -> list[int]:
