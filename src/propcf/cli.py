@@ -34,6 +34,18 @@ import os
 import random
 import sys
 from collections import Counter
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -42,7 +54,11 @@ from pathlib import Path
 
 from .exactreal import (
     Rational,
+    _affine_sign,
+    _affine_text,
     _at_least,
+    _margin,
+    _rational_text,
     _unit,
     parse_exact,
     to_text,
@@ -50,13 +66,13 @@ from .exactreal import (
 from .pcf import (
     MiddleCaseError,
     PCFExpansion,
+    _recurrence,
     convergents,
     enumerate_rational_expansions,
     expand,
 )
 from .candidates import (
     InvariantViolation,
-    approximation_margins,
     sweep_q_rows,
     sweep_rows,
 )
@@ -84,6 +100,12 @@ _COUNT_FLAGS = (("--orbits", "orbits", 1), ("--len", "len", 1),
                 ("--limit", "limit", 0), ("--n", "n", 1),
                 ("--n", "numerator", 1), ("--grid", "grid", 2),
                 ("--depth", "depth", 1))
+
+
+# expand's decimal cells are computed in this context alone: it keeps
+# every digit, and a result that would lose one raises instead of printing
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
 
 
 class UsageError(ValueError):
@@ -320,33 +342,53 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_expand(args):
+    """The expansion of x and its convergent rows.
+
+    The ints p_n, q_n decide every check and sign; the big cells are
+    printed from exact decimal copies of them, run through the same
+    recurrence, since str() of an int is quadratic in its length and is
+    refused past ``sys.get_int_max_str_digits()``.  The last two decimal
+    pairs are checked against the int pairs before anything is returned:
+    with every a_n >= 1, the recurrence run backwards carries that
+    agreement to every index."""
     x = parse_x_spec(args.x)
     expansion = _numerator_pairs(x, args.numerators, args.len)
     cv = convergents(expansion)
-    margins = approximation_margins(x, expansion)
-    sign, product = 1, 1
-    p_prev, q_prev = cv.pair(0)
-    rows = []
-    for n, (quot, margin) in enumerate(zip(expansion.quotients, margins),
-                                       start=1):
-        p, q = cv.pair(n)
-        sign, product = -sign, product * quot.a
-        residual = p_prev * q - p * q_prev - sign * product
-        if residual != 0:
-            raise InvariantViolation(
-                f"determinant identity failed at index {n}")
-        # the identity just checked makes every common divisor of p and q
-        # divide the product a_1...a_n, so the gcd starts from it
-        g = gcd(product, q, p)
-        num, den = p // g, q // g  # q_n >= 1 for n >= 1
-        rows.append({
-            "n": str(n), "a": str(quot.a), "b": str(quot.b),
-            "p": str(p), "q": str(q),
-            "reduced": str(num) if den == 1 else f"{num}/{den}",
-            "det_residual": str(residual),
-            "margin": to_text(margin),
-        })
-        p_prev, q_prev = p, q
+    pairs = expansion.pairs()
+    with localcontext(_EXACT):
+        p_dec = _recurrence(pairs, Decimal(1), Decimal(0))
+        q_dec = _recurrence(pairs, Decimal(0), Decimal(1))
+        sign, product = 1, 1
+        p_prev, q_prev = cv.pair(0)
+        rows = []
+        for n, (a, b) in enumerate(pairs, start=1):
+            p, q = cv.pair(n)
+            pd, qd = p_dec[n + 1], q_dec[n + 1]
+            sign, product = -sign, product * a
+            residual = p_prev * q - p * q_prev - sign * product
+            if residual != 0:
+                raise InvariantViolation(
+                    f"determinant identity failed at index {n}")
+            # the identity just checked makes every common divisor of p and
+            # q divide the product a_1...a_n, so the gcd starts from it; the
+            # decimal // is exact, g dividing both
+            g = gcd(product, q, p)
+            # margin = x - |q x - p| = (1 - s q) x + s p
+            s = _affine_sign(x, q, p)
+            rows.append({
+                "n": str(n), "a": str(a), "b": str(b),
+                "p": str(pd), "q": str(qd),
+                "reduced": _rational_text(pd // g, qd // g),
+                "det_residual": str(residual),
+                "margin": _affine_text(x, _margin(x, q, p, s), 1 - s * qd,
+                                       s * pd),
+            })
+            p_prev, q_prev = p, q
+        for n in (len(rows) - 1, len(rows)):
+            if (int(p_dec[n + 1]), int(q_dec[n + 1])) != cv.pair(n):
+                raise InvariantViolation(
+                    f"decimal convergents differ from the integer ones at "
+                    f"index {n}")
     doc = {
         "x": to_text(x),
         "numerators": args.numerators,

@@ -50,6 +50,12 @@ Each exact operation has one body here:
   rational coordinate with a few big-integer products per block instead
   of a big division per step.
 
+* text: ``_rational_text`` and ``_surd_text`` are the one body each of
+  the canonical text, on int coefficients or on exact ``Decimal`` ones,
+  whose str() is linear in their length; ``_affine_text(u, w, k, j)``
+  prints k*u + j from decimal k and j, with the form and reduction of w,
+  its value built in ints.
+
 ``fractions.Fraction`` is accepted as input and never used to compute.
 
 Input checks have one body each, here, and every module calls them:
@@ -241,7 +247,7 @@ class Rational(ExactReal):
         return f"Rational({self.num}, {self.den})"
 
     def __str__(self):
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return _rational_text(self.num, self.den)
 
     def __hash__(self):
         # hash(Fraction(num, den)) without building one: Python hashes a
@@ -316,12 +322,7 @@ class Surd(ExactReal):
         return f"Surd({self.p}, {self.q}, {self.d}, {self.r})"
 
     def __str__(self):
-        s = f"sqrt({self.d})" if abs(self.q) == 1 else f"{abs(self.q)}*sqrt({self.d})"
-        if self.p == 0:
-            core = ("-" if self.q < 0 else "") + s
-            return core if self.r == 1 else f"{core}/{self.r}"
-        core = f"{self.p}{'+' if self.q > 0 else '-'}{s}"
-        return core if self.r == 1 else f"({core})/{self.r}"
+        return _surd_text(self.p, self.q, self.d, self.r)
 
     def __hash__(self):
         return hash((self.p, self.q, self.d, self.r))
@@ -633,17 +634,36 @@ def _shift_sign(u, n: int) -> int:
     return _affine_sign(u, 1, n)
 
 
-def _margin(u, q: int, p: int):
+def _margin(u, q: int, p: int, s: int | None = None):
     """u - |q*u - p| for integers q and p, built by one constructor: with
     s the ``_affine_sign`` of q*u - p, it is (N - s*(q*N - p*D))/D for a
     rational N/D, and (P - s*(q*P - p*R) + (Q - s*q*Q)*sqrt(d))/R for a
-    surd."""
-    s = _affine_sign(u, q, p)
+    surd.  A caller that has read s already passes it."""
+    if s is None:
+        s = _affine_sign(u, q, p)
     if isinstance(u, Rational):
         n, d = u.num, u.den
         return Rational(n - s * (q * n - p * d), d)
     return Surd(u.p - s * (q * u.p - p * u.r), u.q - s * q * u.q, u.d, u.r,
                 _squarefree=True)
+
+
+def _affine_text(u, w, k, j) -> str:
+    """The text of w = k*u + j, read from exact ``Decimal`` copies k and j
+    of its integer coefficients.  w, the same value built in ints (the
+    margin ``_margin`` returns, say), gives the form of the text and the
+    factor its reduction took out of u's denominator; the decimals give
+    the digits.  The arithmetic runs in the current decimal context, which
+    the caller makes exact."""
+    if isinstance(u, Rational):
+        top, bottom, radical = k * u.num + j * u.den, u.den, None
+    else:
+        top, bottom, radical = k * u.p + j * u.r, u.r, k * u.q
+    if isinstance(w, Rational):
+        h = bottom // w.den
+        return _rational_text(top // h, w.den)
+    h = bottom // w.r
+    return _surd_text(top // h, radical // h, w.d, w.r)
 
 
 def _diff_sign(u, v) -> int:
@@ -842,6 +862,28 @@ def parse_exact(text: str) -> ExactReal:
     if k != "end":
         raise ParseError(f"trailing input {v!r}", pos)
     return value
+
+
+def _rational_text(num, den) -> str:
+    """The text of num/den in lowest terms with den > 0, the one body of
+    ``Rational.__str__``.  The coefficients are ints or exact
+    ``decimal.Decimal`` integers, whose str() is linear in their length
+    where an int's is quadratic; nothing here does arithmetic, so no
+    decimal context rounds them."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _surd_text(p, q, d, r) -> str:
+    """The text of (p + q*sqrt(d))/r in canonical form, the one body of
+    ``Surd.__str__``, on coefficients as ``_rational_text`` takes them:
+    |q| is read off q's text rather than computed."""
+    magnitude = str(q).lstrip("-")
+    root = f"sqrt({d})" if magnitude == "1" else f"{magnitude}*sqrt({d})"
+    if p == 0:
+        core = ("-" if q < 0 else "") + root
+        return core if r == 1 else f"{core}/{r}"
+    core = f"{p}{'+' if q > 0 else '-'}{root}"
+    return core if r == 1 else f"({core})/{r}"
 
 
 def to_text(v: ExactReal) -> str:

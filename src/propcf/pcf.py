@@ -170,8 +170,11 @@ class ConvergentSeq:
         if isinstance(expansion, PCFExpansion):
             pairs = [(quot.a, quot.b) for quot in expansion.quotients]
         else:
-            pairs = [(q.a, q.b) if isinstance(q, PartialQuotient) else tuple(q)
-                     for q in expansion]
+            # plain tuples, as orbits hand over, are kept as they are
+            pairs = list(expansion)
+            if not set(map(type, pairs)) <= {tuple}:
+                pairs = [(q.a, q.b) if isinstance(q, PartialQuotient)
+                         else tuple(q) for q in pairs]
         self._pairs = pairs
         self._q = _recurrence(pairs, 0, 1)
         self._p_half = None
@@ -209,9 +212,13 @@ class ConvergentSeq:
         return self.length
 
 
-def _recurrence(pairs, before: int, first: int) -> list[int]:
+def _recurrence(pairs, before, first) -> list:
     """[before, first, ...] advanced by v_n = b_n v_{n-1} + a_n v_{n-2}:
-    the p half of the convergents from (1, 0), the q half from (0, 1)."""
+    the p half of the convergents from (1, 0), the q half from (0, 1).
+
+    The seeds are ints, or exact ``decimal.Decimal`` integers under a
+    context that keeps every digit (``cli`` prints expand's cells from
+    those, since a Decimal's str() is linear in its length)."""
     out = [before, first]
     append = out.append
     for a, b in pairs:

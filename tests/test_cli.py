@@ -2,6 +2,7 @@
 output determinism, exit codes, and environment overrides."""
 
 import argparse
+import decimal
 import errno
 import hashlib
 import json
@@ -123,6 +124,48 @@ def test_expand_determinant_failure_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == cli.EXIT_INVARIANT and captured.out == ""
         assert "determinant identity failed at index 3" in captured.err
+
+
+def test_expand_decimal_check_failure_exit_code(capsys, monkeypatch):
+    # the cells are printed from decimal copies of the convergents; a
+    # decimal recurrence seeded one off must be caught by the check of the
+    # last two pairs before any row is printed
+    real = cli._recurrence
+
+    def off_by_one(pairs, before, first):
+        if isinstance(first, decimal.Decimal):
+            first += 1
+        return real(pairs, before, first)
+
+    monkeypatch.setattr(cli, "_recurrence", off_by_one)
+    for fmt in ("json", "csv"):
+        code = cli.main(["expand", "golden", "--numerators", "all:2",
+                         "--len", "8", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVARIANT and captured.out == ""
+        assert "differ from the integer ones at index 7" in captured.err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-text conversion")
+def test_expand_prints_past_the_int_text_limit(capsys):
+    # str() of an int past the limit raises ValueError, which used to end
+    # this call with exit 2; the cells are decimal text now, and the call
+    # leaves the limit and the thread's decimal context as it found them
+    argv = ("expand", "golden", "--numerators", "all:4", "--len", "1200")
+    code, unlimited = run_main(capsys, *argv)
+    assert code == 0
+    context = decimal.getcontext()
+    state = repr(context)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, limited = run_main(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and limited == unlimited
+    assert decimal.getcontext() is context and repr(context) == state
 
 
 def test_expand_rejects_bad_numerator_specs(capsys):
@@ -383,6 +426,16 @@ _PINNED_OUTPUT = (
     pytest.param(("expand", "113/331", "--numerators", "varnum"),
                  "1c616bb26207dd79e3dbd5256e692e9f9eb0e5fd48db1d479e9d689ce5986db4",
                  id="expand-rational-varnum"),
+    # long surd rows recorded while every cell was str() of an int: p and q
+    # of about 1,700 digits, and margins with r = 3 in the second
+    pytest.param(("expand", "(sqrt13-3)/2", "--numerators", "all:4", "--len",
+                  "600"),
+                 "bad5fd001afa65c07162e3e7dd5994d5b78a486bff82e3b2a1406f77acfa8d05",
+                 id="expand-sqrt13-long-json"),
+    pytest.param(("expand", "(sqrt7-2)/3", "--numerators", "all:5", "--len",
+                  "300", "--format", "csv"),
+                 "5478f21df53739df3dc634df74fe9a1de63da1227b302476ad6684bc61241110",
+                 id="expand-sqrt7-r3-csv"),
     pytest.param(("classify", "golden", "--p", "1..60", "--oracle"),
                  "655e8110cc589408acafdbc9aec29b83b885ff6facb382d3906b385f961056f7",
                  id="classify-p-oracle"),

@@ -199,6 +199,27 @@ def test_margin_is_one_constructor_on_the_affine_sign():
     assert "_margin" in names and "abs" not in names
 
 
+def test_exact_text_has_one_body_per_type():
+    """``Rational.__str__`` and ``Surd.__str__`` are one call each of
+    ``_rational_text`` and ``_surd_text``, and ``cli.cmd_expand`` prints its
+    reduced and margin cells through those bodies, from decimals in its
+    exact context, with no margin list of its own."""
+    tree = ast.parse((PACKAGE / "exactreal.py").read_text())
+    for cls, body in (("Rational", "_rational_text"), ("Surd", "_surd_text")):
+        node = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        method = next(node for node in node.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "__str__")
+        assert [getattr(node.func, "id", None) for node in ast.walk(method)
+                if isinstance(node, ast.Call)] == [body]
+    names = {node.id for node in ast.walk(_function("cli.py", "cmd_expand"))
+             if isinstance(node, ast.Name)}
+    assert {"_rational_text", "_affine_text", "_margin", "localcontext",
+            "_EXACT"} <= names
+    assert "approximation_margins" not in names
+
+
 def test_witness_check_reads_no_walk_and_no_criterion():
     """``RealizationWitness.verify`` and its private body decide a witness
     by its cylinder, so neither names the walk over the remainders, the

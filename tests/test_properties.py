@@ -9,8 +9,9 @@ plain-``Fraction`` step loop and the identity |q_n x - p_n| = x_0 ... x_n,
 the growth trend slope against the exact least-squares slope and the
 growth report past the float range,
 the joint step against its inverse branches, the unchecked enumeration tree
-against ``expand`` and ``reconstruct``, the ``expand`` command's rows
-against ``ConvergentSeq``, the classification sweeps' shared floor memo
+against ``expand`` and ``reconstruct``, the ``expand`` command's rows,
+printed from decimal copies of the convergents, against ``str()`` of
+``ConvergentSeq``'s ints, the classification sweeps' shared floor memo
 against the public per-p functions and the brute-force oracle, the
 witness check by cylinder against the walk over the remainders, and the
 CLI's JSON writer against ``json.dumps`` and its CSV writer against
@@ -26,6 +27,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -645,19 +647,27 @@ def test_enumeration_round_trips_through_expand(ts):
             e for e in full if len(e) == k]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_FIELD_SPECS)
        | _unit_fractions(64).map(lambda f: f"{f.numerator}/{f.denominator}"),
-       st.lists(st.integers(1, 60), min_size=1, max_size=80))
-def test_expand_rows_match_convergent_reference(spec, numerators):
+       st.lists(st.integers(1, 60), min_size=1, max_size=80)
+       | st.integers(1, 9), st.integers(1, 200))
+def test_expand_rows_match_convergent_reference(spec, numerators, length):
+    # the cells are printed from decimal copies of p_n and q_n; each must
+    # read as str() of the int pairs, the reduced Rational and the margin
+    # chained on exact values, for literal lists and all:N alike
+    if isinstance(numerators, int):
+        flag, stream = f"all:{numerators}", repeat(numerators)
+    else:
+        flag, stream = ",".join(map(str, numerators)), numerators
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["expand", spec, "--numerators",
-                         ",".join(map(str, numerators))])
+        code = cli.main(["expand", spec, "--numerators", flag,
+                         "--len", str(length)])
     assert code == 0
     rows = json.loads(out.getvalue())["convergents"]
     x = parse_exact(spec)
-    expansion = expand(x, numerators)
+    expansion = expand(x, stream, max_len=length)
     cv = ConvergentSeq(expansion)
     assert len(rows) == len(expansion)
     product = 1
