@@ -149,9 +149,10 @@ def test_expand_decimal_check_failure_exit_code(capsys, monkeypatch):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no limit on int-to-text conversion")
 def test_expand_prints_past_the_int_text_limit(capsys):
-    # str() of an int past the limit raises ValueError, which used to end
-    # this call with exit 2; the cells are decimal text now, and the call
-    # leaves the limit and the thread's decimal context as it found them
+    # str() of an int past the limit raises ValueError, which main would
+    # report as bad input (exit 2); the cells are decimal text, which the
+    # limit does not cover, and the call leaves the limit and the thread's
+    # decimal context as it found them
     argv = ("expand", "golden", "--numerators", "all:4", "--len", "1200")
     code, unlimited = run_main(capsys, *argv)
     assert code == 0
