@@ -24,24 +24,45 @@ private bodies on fresh memos.  Every witness is checked by its cylinder
 a prefix of n digits expands from x exactly when x lies between p_n/q_n
 and (p_n + p_{n-1})/(q_n + q_{n-1}), the first end included unless
 a_n = b_n and the second left out, two integer signs of q*x - p
-(``exactreal._affine_sign``).  The module also hosts the
-Beatty/return-time characterizations of candidate denominators, an index
-push-down rewrite with its inverse search, and a construction witnessing
-that the convergent error bound cannot be tightened.
+(``exactreal._affine_sign``).  An expansion's per-index facts, its
+convergent pairs, the sign of q_n*x - p_n and the margin x - |q_n*x - p_n|,
+come from one loop, ``_convergent_steps``: ``approximation_margins`` is its
+margin column, and ``_expansion_rows``, the row table of ``propcf expand``,
+checks the determinant identity on it and prints its cells from exact
+decimals.  ``is_candidate`` decides by the same sign and margin kernels.
+The module also hosts the Beatty/return-time characterizations of
+candidate denominators, an index push-down rewrite with its inverse
+search, and a construction witnessing that the convergent error bound
+cannot be tightened.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from enum import Enum
+from math import gcd
 
 from .exactreal import (
     ExactReal,
     Rational,
     _affine_sign,
+    _affine_text,
     _at_least,
     _digit,
     _exact,
     _margin,
+    _rational_text,
     _tail,
     _unit,
     floor_exact,
@@ -54,6 +75,7 @@ from .pcf import (
     PCFExpansion,
     PartialQuotient,
     _pairs_text,
+    _recurrence,
     convergents,
     pcf_step,
 )
@@ -164,18 +186,18 @@ def gauss_map(x, numerator: int = 1) -> ExactReal:
 def is_candidate(x, p: int, q: int) -> CandidatePair | None:
     """The pair as a CandidatePair when |qx - p| < x, else None.
 
-    A pair hitting x exactly (qx == p) belongs to neither side.
+    A pair hitting x exactly (qx == p) belongs to neither side.  The sign s
+    of qx - p and the margin x - |qx - p| decide it, as they do for each
+    index of an expansion (``_convergent_steps``): a candidate when s is
+    not 0 and the margin is positive, on the even side when s > 0.
     """
     _at_least("p", p, 1)
     _at_least("q", q, 1)
     x = _unit(x)
-    diff = q * x - p
-    if not (abs(diff) < x):
+    s = _affine_sign(x, q, p)
+    if s == 0 or not _margin(x, q, p, s) > 0:
         return None
-    if is_zero(diff):
-        return None
-    parity = Parity.EVEN if diff > Rational(0) else Parity.ODD
-    return CandidatePair(p, q, parity)
+    return CandidatePair(p, q, Parity.EVEN if s > 0 else Parity.ODD)
 
 
 def candidate_q_for_p(x, p: int) -> tuple[int, int]:
@@ -229,16 +251,80 @@ def candidate_p_for_q(x, q: int) -> tuple[int | None, int | None]:
     return _numerators(_Floors(_unit(x)), q)
 
 
+def _convergent_steps(x: ExactReal, pairs: list[tuple[int, int]]):
+    """(p_{n-1}, q_{n-1}, p_n, q_n, s_n, margin_n) for n = 1..len(pairs),
+    the one loop over an expansion's convergents: the pairs come from the
+    int halves of ``_recurrence``, s_n is the ``_affine_sign`` of
+    q_n*x - p_n, and margin_n = x - |q_n*x - p_n| is built by ``_margin``
+    on that sign."""
+    p = _recurrence(pairs, 1, 0)
+    q = _recurrence(pairs, 0, 1)
+    for i in range(2, len(p)):
+        p_n, q_n = p[i], q[i]
+        s = _affine_sign(x, q_n, p_n)
+        yield p[i - 1], q[i - 1], p_n, q_n, s, _margin(x, q_n, p_n, s)
+
+
 def approximation_margins(x, expansion: PCFExpansion) -> list[ExactReal]:
     """x - |q_n x - p_n| for each prefix length n >= 1 (positive for any
-    expansion of x, at every index), each built by ``_margin``."""
-    x = _unit(x)
-    cv = convergents(expansion)
-    out = []
-    for n in range(1, len(expansion) + 1):
-        p, q = cv.pair(n)
-        out.append(_margin(x, q, p))
-    return out
+    expansion of x, at every index): the margin column of
+    ``_convergent_steps``."""
+    return [step[5] for step in _convergent_steps(_unit(x), expansion.pairs())]
+
+
+# expand's decimal cells are computed in this context alone: it keeps
+# every digit, and a result that would lose one raises instead of printing
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, DivisionByZero])
+
+
+def _expansion_rows(x: ExactReal, pairs: list[tuple[int, int]]) -> list[dict]:
+    """The convergent rows ``propcf expand`` prints for the digit pairs of
+    x, every cell text.
+
+    The ints of ``_convergent_steps`` decide every check and sign: each
+    row's determinant identity p_{n-1} q_n - p_n q_{n-1} = (-1)^n a_1...a_n
+    is checked, which makes that product a bound on gcd(q_n, p_n).  The
+    big cells are printed from exact decimal copies of p_n and q_n, run
+    through the same recurrence in ``_EXACT``, since str() of an int is
+    quadratic in its length and is refused past
+    ``sys.get_int_max_str_digits()``.  The last two decimal pairs are
+    checked against the int pairs before anything is returned: with every
+    a_n >= 1, the recurrence run backwards carries that agreement to every
+    index.  A failed check raises ``InvariantViolation``."""
+    with localcontext(_EXACT):
+        p_dec = _recurrence(pairs, Decimal(1), Decimal(0))
+        q_dec = _recurrence(pairs, Decimal(0), Decimal(1))
+        sign, product = 1, 1
+        p_prev, q_prev, p, q = 1, 0, 0, 1  # the pairs at n = -1 and 0
+        rows = []
+        for n, ((a, b), (p_prev, q_prev, p, q, s, margin)) in enumerate(
+                zip(pairs, _convergent_steps(x, pairs)), start=1):
+            pd, qd = p_dec[n + 1], q_dec[n + 1]
+            sign, product = -sign, product * a
+            residual = p_prev * q - p * q_prev - sign * product
+            if residual != 0:
+                raise InvariantViolation(
+                    f"determinant identity failed at index {n}")
+            # the identity just checked makes every common divisor of p and
+            # q divide the product a_1...a_n, so the gcd starts from it; the
+            # decimal // is exact, g dividing both
+            g = gcd(product, q, p)
+            rows.append({
+                "n": str(n), "a": str(a), "b": str(b),
+                "p": str(pd), "q": str(qd),
+                "reduced": _rational_text(pd // g, qd // g),
+                "det_residual": str(residual),
+                # margin = x - |q x - p| = (1 - s q) x + s p
+                "margin": _affine_text(x, margin, 1 - s * qd, s * pd),
+            })
+        last = len(rows)
+        for n, pair in ((last - 1, (p_prev, q_prev)), (last, (p, q))):
+            if (int(p_dec[n + 1]), int(q_dec[n + 1])) != pair:
+                raise InvariantViolation(
+                    f"decimal convergents differ from the integer ones at "
+                    f"index {n}")
+    return rows
 
 
 def fractional_part_characterization(x, q: int):

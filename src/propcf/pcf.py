@@ -217,8 +217,9 @@ def _recurrence(pairs, before, first) -> list:
     the p half of the convergents from (1, 0), the q half from (0, 1).
 
     The seeds are ints, or exact ``decimal.Decimal`` integers under a
-    context that keeps every digit (``cli`` prints expand's cells from
-    those, since a Decimal's str() is linear in its length)."""
+    context that keeps every digit (``candidates._expansion_rows`` prints
+    expand's cells from those, since a Decimal's str() is linear in its
+    length)."""
     out = [before, first]
     append = out.append
     for a, b in pairs:

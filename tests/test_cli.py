@@ -107,17 +107,15 @@ def test_expand_determinant_failure_exit_code(capsys, monkeypatch):
     # it only once the determinant identity holds; a convergent scaled by
     # 7, a factor of no numerator, must stop the command at its index
     # before any row is printed
-    real = cli.convergents
+    real = candidates._recurrence
 
-    class Scaled:
-        def __init__(self, expansion):
-            self.cv = real(expansion)
+    def scaled(pairs, before, first):
+        out = real(pairs, before, first)
+        if type(first) is int:
+            out[4] *= 7  # the pair at index 3
+        return out
 
-        def pair(self, n):
-            p, q = self.cv.pair(n)
-            return (7 * p, 7 * q) if n == 3 else (p, q)
-
-    monkeypatch.setattr(cli, "convergents", Scaled)
+    monkeypatch.setattr(candidates, "_recurrence", scaled)
     for fmt in ("json", "csv"):
         code = cli.main(["expand", "golden", "--numerators", "all:2",
                          "--len", "8", "--format", fmt])
@@ -130,14 +128,14 @@ def test_expand_decimal_check_failure_exit_code(capsys, monkeypatch):
     # the cells are printed from decimal copies of the convergents; a
     # decimal recurrence seeded one off must be caught by the check of the
     # last two pairs before any row is printed
-    real = cli._recurrence
+    real = candidates._recurrence
 
     def off_by_one(pairs, before, first):
         if isinstance(first, decimal.Decimal):
             first += 1
         return real(pairs, before, first)
 
-    monkeypatch.setattr(cli, "_recurrence", off_by_one)
+    monkeypatch.setattr(candidates, "_recurrence", off_by_one)
     for fmt in ("json", "csv"):
         code = cli.main(["expand", "golden", "--numerators", "all:2",
                          "--len", "8", "--format", fmt])
@@ -437,6 +435,17 @@ _PINNED_OUTPUT = (
                   "300", "--format", "csv"),
                  "5478f21df53739df3dc634df74fe9a1de63da1227b302476ad6684bc61241110",
                  id="expand-sqrt7-r3-csv"),
+    # rcf-of numerators, recorded while y's digits came from expanding y
+    # with numerators 1: a rational y whose three digits run out before
+    # --len, and a surd y whose digits cycle with period 4
+    pytest.param(("expand", "(sqrt13-3)/2", "--numerators", "rcf-of:113/355",
+                  "--len", "20"),
+                 "5bbb46f6517f5181bc62708d6ef6954505c3f70709356ef9d8f81e23ca154af8",
+                 id="expand-rcf-of-rational-json"),
+    pytest.param(("expand", "golden", "--numerators", "rcf-of:sqrt7-2",
+                  "--len", "40", "--format", "csv"),
+                 "efc2dca1ec11c1fd140a40de5d248b9e2ba42728ce97438ac7ec6b49966394b5",
+                 id="expand-rcf-of-surd-csv"),
     pytest.param(("classify", "golden", "--p", "1..60", "--oracle"),
                  "655e8110cc589408acafdbc9aec29b83b885ff6facb382d3906b385f961056f7",
                  id="classify-p-oracle"),

@@ -4,7 +4,8 @@ the Monte Carlo imports numpy and no CLI command loads it, every module
 parses as Python 3.10,
 the input checks and the expansion step live in exactreal alone, the
 four order comparisons share one body, so does the sign of q*u - p,
-which the one-constructor margin reads,
+which the one-constructor margin reads in one per-index loop, expand's
+table and its decimal context live in candidates and not in the CLI,
 only the floor, the step and the two square-root routines take integer
 square roots, only cli's ``_csv_text`` writes CSV, the classification
 sweeps call no public per-row function, and the witness check reads
@@ -182,28 +183,49 @@ def _function(module: str, name: str) -> ast.FunctionDef:
                 and node.name == name)
 
 
+def _names(node) -> set[str]:
+    return {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+
+
 def test_margin_is_one_constructor_on_the_affine_sign():
     """``_margin(u, q, p)`` reads the sign of q*u - p from ``_affine_sign``
-    and builds u - |q*u - p| with one constructor per type, and
-    ``approximation_margins`` calls it per row instead of chaining
-    operators on exact values."""
+    and builds u - |q*u - p| with one constructor per type.  One loop in
+    the package calls it per index of an expansion,
+    ``candidates._convergent_steps``, which ``approximation_margins`` and
+    expand's table read; ``is_candidate`` decides by the same sign and
+    margin, and none of them chains ``abs`` on exact values."""
     calls = [getattr(node.func, "id", None)
              for node in ast.walk(_function("exactreal.py", "_margin"))
              if isinstance(node, ast.Call)]
     assert calls.count("_affine_sign") == 1
     assert sorted(c for c in calls if c in ("Rational", "Surd")) == [
         "Rational", "Surd"]
-    margins = _function("candidates.py", "approximation_margins")
-    names = {node.id for node in ast.walk(margins)
-             if isinstance(node, ast.Name)}
-    assert "_margin" in names and "abs" not in names
+    loops_calling_margin = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.For, ast.While, ast.ListComp,
+                                 ast.SetComp, ast.DictComp,
+                                 ast.GeneratorExp)) and (
+                    "_margin" in _names(node)):
+                loops_calling_margin.append(path.name)
+    assert loops_calling_margin == ["candidates.py"]
+    steps = _names(_function("candidates.py", "_convergent_steps"))
+    assert {"_recurrence", "_affine_sign", "_margin"} <= steps
+    for name in ("approximation_margins", "_expansion_rows"):
+        assert "_convergent_steps" in _names(
+            _function("candidates.py", name))
+    candidate = _names(_function("candidates.py", "is_candidate"))
+    assert {"_affine_sign", "_margin"} <= candidate
+    for name in ("approximation_margins", "is_candidate"):
+        assert "abs" not in _names(_function("candidates.py", name))
 
 
 def test_exact_text_has_one_body_per_type():
     """``Rational.__str__`` and ``Surd.__str__`` are one call each of
-    ``_rational_text`` and ``_surd_text``, and ``cli.cmd_expand`` prints its
-    reduced and margin cells through those bodies, from decimals in its
-    exact context, with no margin list of its own."""
+    ``_rational_text`` and ``_surd_text``, and expand's table
+    (``candidates._expansion_rows``) prints its reduced and margin cells
+    through those bodies, from decimals in its exact context; ``cli``
+    holds neither a decimal context nor a margin of its own."""
     tree = ast.parse((PACKAGE / "exactreal.py").read_text())
     for cls, body in (("Rational", "_rational_text"), ("Surd", "_surd_text")):
         node = next(node for node in tree.body
@@ -213,11 +235,20 @@ def test_exact_text_has_one_body_per_type():
                       and node.name == "__str__")
         assert [getattr(node.func, "id", None) for node in ast.walk(method)
                 if isinstance(node, ast.Call)] == [body]
-    names = {node.id for node in ast.walk(_function("cli.py", "cmd_expand"))
-             if isinstance(node, ast.Name)}
-    assert {"_rational_text", "_affine_text", "_margin", "localcontext",
+    names = _names(_function("candidates.py", "_expansion_rows"))
+    assert {"_rational_text", "_affine_text", "localcontext",
             "_EXACT"} <= names
     assert "approximation_margins" not in names
+    assert "_expansion_rows" in _names(_function("cli.py", "cmd_expand"))
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert imported & {"decimal", "gcd", "_affine_sign", "_affine_text",
+                       "_margin", "_rational_text", "_recurrence",
+                       "convergents"} == set()
 
 
 def test_witness_check_reads_no_walk_and_no_criterion():

@@ -11,7 +11,10 @@ growth report past the float range,
 the joint step against its inverse branches, the unchecked enumeration tree
 against ``expand`` and ``reconstruct``, the ``expand`` command's rows,
 printed from decimal copies of the convergents, against ``str()`` of
-``ConvergentSeq``'s ints, the classification sweeps' shared floor memo
+``ConvergentSeq``'s ints, the per-index sign and margin of an expansion
+against (-1)^n x_0 ... x_n, ``is_candidate`` against its rule chained on
+exact values, the orbit walk's classical digits against ``expand`` with
+numerators 1, the classification sweeps' shared floor memo
 against the public per-p functions and the brute-force oracle, the
 witness check by cylinder against the walk over the remainders, and the
 CLI's JSON writer against ``json.dumps`` and its CSV writer against
@@ -34,7 +37,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from propcf import cli
 from propcf.candidates import (
+    CandidatePair,
+    Parity,
     RealizationWitness,
+    _convergent_steps,
     _remainders,
     approximation_margins,
     candidate_p_for_q,
@@ -63,6 +69,7 @@ from propcf.exactreal import (
 )
 from propcf.gauss2d import (
     JointState,
+    _classical_digits,
     OrbitRecord,
     ZeroCoordinate,
     growth_exponent,
@@ -718,6 +725,66 @@ def test_approximation_margins_match_chained_reference(spec, numerators):
     assert len(margins) == len(expansion)
     for n, margin in enumerate(margins, start=1):
         _assert_same_value(margin, x - abs(cv.q(n) * x - cv.p(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_points(), st.lists(st.integers(1, 60), min_size=1, max_size=40))
+def test_convergent_steps_alternate_in_sign_until_the_expansion_ends(
+        x, numerators):
+    # q_n x - p_n = (-1)^n x_0 x_1 ... x_n along any expansion, whatever its
+    # numerators: the sign is (-1)^n while the remainder x_n is not 0, and
+    # 0 at the last index of a complete expansion; the margin is
+    # x - x_0 ... x_n, with the remainders taken here by chained operators
+    expansion = expand(x, numerators)
+    steps = list(_convergent_steps(x, expansion.pairs()))
+    assert len(steps) == len(expansion)
+    cv = ConvergentSeq(expansion)
+    rem = product = x
+    for n, ((a, b), step) in enumerate(zip(expansion.pairs(), steps), 1):
+        rem = a / rem - b
+        product *= rem
+        p_prev, q_prev, p, q, s, margin = step
+        assert (p_prev, q_prev, p, q) == (*cv.pair(n - 1), *cv.pair(n))
+        if is_zero(rem):
+            assert s == 0 and n == len(expansion)
+            assert expansion.is_complete()
+        else:
+            assert s == (-1) ** n
+        assert margin == x - product
+
+
+def _candidate_by_chain(x, p: int, q: int) -> CandidatePair | None:
+    """``is_candidate``'s rule chained on exact values: |qx - p| < x, and
+    qx - p is not 0; the even side when it is positive."""
+    diff = q * x - p
+    if not (abs(diff) < x) or is_zero(diff):
+        return None
+    return CandidatePair(p, q, Parity.EVEN if diff > Rational(0)
+                         else Parity.ODD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELD_SPECS).map(parse_exact)
+       | _unit_fractions(64).map(_rational),
+       st.integers(1, 5000), st.integers(-2, 2), st.integers(1, 6))
+@example(Rational(2, 7), 7, 0, 3)     # (2k, 7k) hits x exactly
+@example(GOLDEN, 1, 0, 1)
+def test_is_candidate_matches_operator_chain(x, q, shift, k):
+    # the pairs near q*x, and on a rational x those that hit it exactly
+    pairs = [(floor_times(q, x) + shift, q)]
+    if isinstance(x, Rational):
+        pairs.append((k * x.num, k * x.den))
+    for p, q in pairs:
+        if p >= 1:
+            assert is_candidate(x, p, q) == _candidate_by_chain(x, p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_points(), st.integers(1, 80))
+def test_classical_digits_match_unit_numerator_expansion(y, n):
+    # expand --numerators rcf-of:SPEC reads y's digits from the orbit walk
+    assert _classical_digits(y, n) == expand(y, repeat(1),
+                                             max_len=n).digits()
 
 
 # ---------------------------------------------------------------------------
