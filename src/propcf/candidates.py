@@ -130,8 +130,7 @@ class RealizationWitness:
         """``verify`` on a checked x."""
         index, at = self.index, None
         p0, q0, p1, q1 = 1, 0, 0, 1  # the pairs at n - 1 and n, from n = 0
-        for n, quot in enumerate(self.quotients, 1):
-            a, b = quot.a, quot.b
+        for n, (a, b) in enumerate(self.quotients, 1):
             p0, q0, p1, q1 = p1, q1, b * p1 + a * p0, b * q1 + a * q0
             if n == index:
                 at = p1, q1
@@ -152,11 +151,11 @@ def _remainders(x, quotients) -> list[ExactReal] | None:
     has ended) before the pairs do."""
     rem = _unit(x)
     out = [rem]
-    for quot in quotients:
+    for a, b in quotients:
         if is_zero(rem):
             return None
-        b, rem = _digit(rem, quot.a)
-        if b != quot.b:
+        digit, rem = _digit(rem, a)
+        if digit != b:
             return None
         out.append(rem)
     return out
@@ -269,7 +268,7 @@ def approximation_margins(x, expansion: PCFExpansion) -> list[ExactReal]:
     """x - |q_n x - p_n| for each prefix length n >= 1 (positive for any
     expansion of x, at every index): the margin column of
     ``_convergent_steps``."""
-    return [step[5] for step in _convergent_steps(_unit(x), expansion.pairs())]
+    return [s[5] for s in _convergent_steps(_unit(x), expansion.quotients)]
 
 
 # expand's decimal cells are computed in this context alone: it keeps
@@ -542,8 +541,8 @@ def realizable_as_q2_oracle(x, p: int) -> RealizationWitness | None:
             continue  # terminated: no second digit exists on this branch
         witness = _forced_prefix(a1, b1, p, q)
         if witness is not None:
-            second = witness.quotients[1]
-            if _digit(x1, second.a)[0] == second.b:
+            a2, b2 = witness.quotients[1]
+            if _digit(x1, a2)[0] == b2:
                 return witness
     return None
 
@@ -686,17 +685,17 @@ def push_down_index(x, expansion: PCFExpansion, k: int) -> PCFExpansion:
     rems = _remainders(x, expansion.quotients)
     if rems is None:
         raise ValueError("expansion does not belong to this x")
-    pk, pk1, pk2 = expansion.quotients[k - 1], expansion.quotients[k], expansion.quotients[k + 1]
-    merge = pk1.b * pk2.b + pk2.a
-    new_a = pk.a * merge
-    new_b = pk.b * merge + pk1.a * pk2.b
+    (a, b), (a1, b1), (a2, b2) = expansion.quotients[k - 1:k + 2]
+    merge = b1 * b2 + a2
+    new_a = a * merge
+    new_b = b * merge + a1 * b2
     check = floor_exact(new_a / rems[k - 1])
     if check != new_b:
         raise InvariantViolation(
             f"merged digit {new_b} disagrees with floor(a'/x_{k-1}) = {check}")
     x_k2 = rems[k + 2]
-    new_tail = (pk1.a * pk2.a * x_k2) / (merge + pk1.b * x_k2)
-    pairs = expansion.pairs()[:k - 1] + [(new_a, new_b)]
+    new_tail = (a1 * a2 * x_k2) / (merge + b1 * x_k2)
+    pairs = expansion.quotients[:k - 1] + ((new_a, new_b),)
     return PCFExpansion.from_pairs(pairs, new_tail)
 
 

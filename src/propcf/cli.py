@@ -321,7 +321,7 @@ def cmd_expand(args):
     """The expansion of x and its convergent rows (``_expansion_rows``)."""
     x = parse_x_spec(args.x)
     expansion = _numerator_pairs(x, args.numerators, args.len)
-    rows = _expansion_rows(x, expansion.pairs())
+    rows = _expansion_rows(x, expansion.quotients)
     doc = {
         "x": to_text(x),
         "numerators": args.numerators,

@@ -14,8 +14,10 @@ Floats never mix in: convert out with ``float(v)`` at the edge.
 Rational sums, products and reciprocals use the gcd-minimising formulas
 of Knuth (TAOCP vol. 2, section 4.5.1), as ``fractions.Fraction`` does:
 they take gcds of the small cofactors only, never of the full-size
-result, which is what keeps long exact orbits fast.  Arithmetic with a
-surd builds its result in that surd's field through
+result.  Exact orbits do not run them (a rational coordinate is walked
+as bare ints by ``_qwalk``); ``pcf.reconstruct``,
+``candidates.sharpness_witness`` and the parsing of a value do.
+Arithmetic with a surd builds its result in that surd's field through
 ``Surd(..., _squarefree=True)``, which skips the radicand decomposition
 but still reduces, fixes the sign and demotes q == 0 to ``Rational``.
 

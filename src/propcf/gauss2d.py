@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, islice
@@ -51,7 +52,7 @@ from .exactreal import (
     is_zero,
     sqrt_exact,
 )
-from .pcf import ConvergentSeq, pcf_step
+from .pcf import ConvergentSeq, PartialQuotient, pcf_step
 
 
 class ZeroCoordinate(ArithmeticError):
@@ -86,27 +87,25 @@ class JointState:
         _at_least("step", self.step, 0)
 
 
-@dataclass(frozen=True)
-class CylinderAddress:
+class CylinderAddress(PartialQuotient):
     """Digit pair (a, b) naming the open cell
-    x in (a/(b+1), a/b), y in (1/(a+1), 1/a)."""
+    x in (a/(b+1), a/b), y in (1/(a+1), 1/a); checked as every digit
+    pair is, by ``PartialQuotient``."""
 
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _at_least("a", self.a, 1)
-        _at_least("b", self.b, self.a)
+    __slots__ = ()
 
     @property
     def area(self) -> Fraction:
-        return Fraction(1, (self.a + 1) * self.b * (self.b + 1))
+        a, b = self
+        return Fraction(1, (a + 1) * b * (b + 1))
 
     def x_interval(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.a, self.b + 1), Fraction(self.a, self.b)
+        a, b = self
+        return Fraction(a, b + 1), Fraction(a, b)
 
     def y_interval(self) -> tuple[Fraction, Fraction]:
-        return Fraction(1, self.a + 1), Fraction(1, self.a)
+        a = self[0]
+        return Fraction(1, a + 1), Fraction(1, a)
 
 
 def _step(x, y) -> tuple[int, int, ExactReal, ExactReal]:
@@ -157,9 +156,9 @@ class OrbitRecord:
 
     ``terminated_by`` is None for a full-length run, otherwise one of
     "x_zero", "y_zero", "both_zero".  ``growth_samples`` are the pairs
-    (k, log(q_k)/k); an exact orbit leaves them to be built from its
-    convergents on first read, and ``growth_exponent`` builds only the
-    final half it reads.
+    (k, log(q_k)/k): a float orbit carries them, and an exact orbit builds
+    them from its convergents on each read, so the record stays frozen;
+    ``growth_exponent`` builds only the final half it reads.
     """
 
     digits: tuple[tuple[int, int], ...]
@@ -180,13 +179,12 @@ class OrbitRecord:
     @property
     def growth_samples(self) -> tuple[tuple[int, float], ...]:
         if self._samples is None:
-            object.__setattr__(self, "_samples",
-                               _log_samples(self.convergents, 1))
+            return _log_samples(self.convergents, 1)
         return self._samples
 
     def _final_samples(self) -> tuple[int, tuple[tuple[int, float], ...]]:
         """How many growth samples there are, and those from index
-        count // 2 on, built alone if the rest have not been."""
+        count // 2 on; an exact orbit builds these alone."""
         if self._samples is not None:
             count = len(self._samples)
             return count, self._samples[count // 2:]
@@ -383,12 +381,8 @@ def birkhoff_cylinder_frequencies(x0, y0, n: int) -> dict[CylinderAddress, Fract
     else:
         record = orbit(x0, y0, n)
     total = record.steps
-    table: dict[CylinderAddress, int] = {}
-    for a, b in record.digits:
-        addr = CylinderAddress(a, b)
-        table[addr] = table.get(addr, 0) + 1
-    return {addr: Fraction(c, total) for addr, c in sorted(
-        table.items(), key=lambda kv: (kv[0].a, kv[0].b))}
+    return {CylinderAddress(*digits): Fraction(c, total)
+            for digits, c in sorted(Counter(record.digits).items())}
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +559,10 @@ def random_unit_rational(rng: random.Random, bits: int) -> Rational:
 def leading_cylinders(count: int) -> list[tuple[int, int]]:
     """The ``count`` largest-area cylinder addresses, ties broken by (a, b)."""
     _at_least("count", count, 1)
-    cells = []
-    for a in range(1, count + 2):
-        for b in range(a, a + count + 2):
-            cells.append((-CylinderAddress(a, b).area, a, b))
-    cells.sort()
+    # the reciprocal of a cell's area, (a+1)*b*(b+1), sorts it in ints
+    cells = sorted(((a + 1) * b * (b + 1), a, b)
+                   for a in range(1, count + 2)
+                   for b in range(a, a + count + 2))
     return [(a, b) for _, a, b in cells[:count]]
 
 

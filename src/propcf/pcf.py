@@ -15,6 +15,12 @@ builds a/x reduced and splits it into floor and remainder at once.
 rational's expansions steps through its bare-int kernel ``_qdigit``, once
 per distinct reduced remainder and remaining length (see
 ``enumerate_rational_expansions``).
+
+A digit pair is a ``PartialQuotient``: the tuple (a, b), whose
+constructor is the package's one check of b >= a >= 1 (``gauss2d``'s
+``CylinderAddress`` is a subclass).  It compares, hashes and unpacks as
+the plain tuple, so the plain pairs that orbits hand out equal an
+expansion's, and readers unpack pairs of either kind alike.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from operator import itemgetter
 
 from .exactreal import (
     ExactReal,
@@ -54,22 +61,34 @@ class MiddleCaseError(ValueError):
     """1-x has no digit-level rewrite when a1 < b1 < 2*a1."""
 
 
-@dataclass(frozen=True, slots=True)
-class PartialQuotient:
-    """One level a/b of the fraction; b >= a >= 1."""
+class PartialQuotient(tuple):
+    """One level a/b of the fraction, b >= a >= 1: the tuple (a, b).
 
-    a: int
-    b: int
+    Its constructor is the package's one check of a digit pair, so a pair
+    compares, hashes and unpacks as the plain tuple (a, b) that orbits and
+    the scalar families hand out."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, a, b):
         # ``type(...) is int`` turns bools away, as ``_at_least`` does
-        if not (type(self.a) is int and type(self.b) is int):
+        if not (type(a) is int and type(b) is int):
             raise TypeError("digit pair must be integers")
-        if self.a < 1 or self.b < self.a:
-            raise ImproperDigits(f"need b >= a >= 1, got {self.a}/{self.b}")
+        if a < 1 or b < a:
+            raise ImproperDigits(f"need b >= a >= 1, got {a}/{b}")
+        return tuple.__new__(cls, (a, b))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self[0]}, b={self[1]})"
 
     def __str__(self):
-        return f"{self.a}/{self.b}"
+        return f"{self[0]}/{self[1]}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,10 +119,10 @@ class PCFExpansion:
 
     @classmethod
     def from_pairs(cls, pairs, tail=Rational(0)) -> "PCFExpansion":
-        return cls(tuple(PartialQuotient(a, b) for a, b in pairs), tail)
+        return cls(tuple(pairs), tail)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(q.a, q.b) for q in self.quotients]
+    def pairs(self) -> list[PartialQuotient]:
+        return list(self.quotients)
 
     def numerators(self) -> list[int]:
         return [q.a for q in self.quotients]
@@ -163,19 +182,16 @@ class ConvergentSeq:
     p_n = b_n p_{n-1} + a_n p_{n-2} (same for q).  These are the unreduced
     pairs; value(n) gives the reduced convergent c_n.  The q half is
     built at once; the p half on the first ``p``, ``pair``, ``value`` or
-    ``last``, so a reader of denominators alone never pays for it.
+    ``last``, so a reader of denominators alone never pays for it.  The
+    pairs given, an expansion's or any iterable's, are kept in a list as
+    they are: ``PartialQuotient``s and the plain tuples orbits hand over
+    unpack alike, so none is rebuilt.
     """
 
     def __init__(self, expansion):
         if isinstance(expansion, PCFExpansion):
-            pairs = [(quot.a, quot.b) for quot in expansion.quotients]
-        else:
-            # plain tuples, as orbits hand over, are kept as they are
-            pairs = list(expansion)
-            if not set(map(type, pairs)) <= {tuple}:
-                pairs = [(q.a, q.b) if isinstance(q, PartialQuotient)
-                         else tuple(q) for q in pairs]
-        self._pairs = pairs
+            expansion = expansion.quotients
+        pairs = self._pairs = list(expansion)
         self._q = _recurrence(pairs, 0, 1)
         self._p_half = None
         self.length = len(pairs)
@@ -231,7 +247,7 @@ def _recurrence(pairs, before, first) -> list:
 def _pairs_text(quotients) -> str:
     """Digit pairs as "a1/b1 a2/b2 ...", the text of a witness or an
     expansion in an output table."""
-    return " ".join([f"{q.a}/{q.b}" for q in quotients])
+    return " ".join([f"{a}/{b}" for a, b in quotients])
 
 
 def convergents(expansion: PCFExpansion) -> ConvergentSeq:
@@ -241,8 +257,8 @@ def convergents(expansion: PCFExpansion) -> ConvergentSeq:
 def reconstruct(expansion: PCFExpansion) -> ExactReal:
     """Fold the digit pairs back around the tail; exact inverse of expand."""
     value = expansion.tail
-    for quot in reversed(expansion.quotients):
-        value = Rational(quot.a) / (value + quot.b)
+    for a, b in reversed(expansion.quotients):
+        value = Rational(a) / (value + b)
     return value
 
 
@@ -347,11 +363,10 @@ def one_minus_transform(expansion: PCFExpansion) -> PCFExpansion:
     """
     if len(expansion) == 0:
         raise ValueError("need at least one digit pair")
-    first = expansion.quotients[0]
-    a1, b1 = first.a, first.b
+    a1, b1 = expansion.quotients[0]
 
     if b1 >= 2 * a1:
-        pairs = ((1, 1), (a1, b1 - a1)) + tuple(expansion.pairs()[1:])
+        pairs = ((1, 1), (a1, b1 - a1)) + expansion.quotients[1:]
         return PCFExpansion.from_pairs(pairs, expansion.tail)
 
     if b1 == a1:
@@ -360,16 +375,16 @@ def one_minus_transform(expansion: PCFExpansion) -> PCFExpansion:
         quots = expansion.quotients + more.quotients
         if len(quots) == 1:  # x == a1/b1 == 1: outside the domain
             raise ValueError("expansion value must lie strictly inside (0,1)")
-        a2, b2 = quots[1].a, quots[1].b
+        a2, b2 = quots[1]
         head = (a2, b1 * b2 + a2)
         if len(quots) == 2:  # complete rational: single contracted digit
             return PCFExpansion.from_pairs((head,), more.tail)
-        a3, b3 = quots[2].a, quots[2].b
+        a3, b3 = quots[2]
         if b3 < b1 * a3:
             raise ImproperDigits(
                 f"head contraction yields improper pair {b1 * a3}/{b3}; "
                 "it needs the second remainder of x to stay below 1/b1")
-        pairs = (head, (b1 * a3, b3)) + tuple((q.a, q.b) for q in quots[3:])
+        pairs = (head, (b1 * a3, b3)) + quots[3:]
         return PCFExpansion.from_pairs(pairs, more.tail)
 
     raise MiddleCaseError(
@@ -385,7 +400,7 @@ def expansion_to_json(expansion: PCFExpansion) -> dict:
     """JSON-ready dict; exact tail as canonical text."""
     return {
         "schema": 1,
-        "quotients": [[q.a, q.b] for q in expansion.quotients],
+        "quotients": [list(q) for q in expansion.quotients],
         "tail": to_text(expansion.tail),
     }
 
@@ -393,5 +408,6 @@ def expansion_to_json(expansion: PCFExpansion) -> dict:
 def expansion_from_json(doc: dict) -> PCFExpansion:
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    pairs = [(int(a), int(b)) for a, b in doc["quotients"]]
-    return PCFExpansion.from_pairs(pairs, parse_exact(doc["tail"]))
+    # each pair goes to the pair check as it was read: a float, bool or
+    # string digit is refused there, not truncated
+    return PCFExpansion.from_pairs(doc["quotients"], parse_exact(doc["tail"]))

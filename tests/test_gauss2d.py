@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -42,7 +43,14 @@ from propcf.gauss2d import (
     y_of_x,
     y_value_from_digits,
 )
-from propcf.pcf import PCFExpansion, expand, pcf_step, reconstruct
+from propcf.pcf import (
+    ImproperDigits,
+    PCFExpansion,
+    PartialQuotient,
+    expand,
+    pcf_step,
+    reconstruct,
+)
 
 LEVY = 3.27582
 PHI = (1 + math.sqrt(5)) / 2
@@ -110,6 +118,18 @@ def test_joint_state_validation():
         JointState(Rational(1), GOLDEN)
     with pytest.raises(ValueError, match=r"^y must lie in \[0, 1\)$"):
         JointState(GOLDEN, Rational(1))
+
+
+def test_cylinder_address_is_a_checked_digit_pair():
+    # its type checks are in test_pcf's test of every digit pair
+    with pytest.raises(ImproperDigits, match=r"^need b >= a >= 1, got 2/1$"):
+        CylinderAddress(2, 1)
+    with pytest.raises(ImproperDigits):
+        CylinderAddress(0, 3)
+    cell = CylinderAddress(1, 2)
+    assert isinstance(cell, PartialQuotient)
+    assert cell == PartialQuotient(1, 2) == (1, 2)
+    assert repr(cell) == "CylinderAddress(a=1, b=2)"
 
 
 def test_cylinder_of_examples():
@@ -207,6 +227,16 @@ def test_orbit_greedy_y_has_constant_numerator():
     # same digits as the fixed-numerator expansion of x
     scalar = expand(sqrt_exact(2) - 1, [3] * 8)
     assert [q.b for q in scalar.quotients] == [b for _, b in rec.digits]
+
+
+@pytest.mark.parametrize("x", [Rational(355, 1129),
+                               parse_exact("(sqrt13-3)/2")])
+def test_golden_orbit_digits_are_the_classical_expansion(x):
+    # golden y has every classical digit 1, so the orbit reads the
+    # regular continued fraction of x, pair for pair
+    for n in (0, 1, 12, 40):
+        rec = orbit(x, GOLDEN, n)
+        assert rec.digits == expand(x, repeat(1), max_len=n).quotients
 
 
 def _step_chain(x, y, n):

@@ -8,8 +8,9 @@ which the one-constructor margin reads in one per-index loop, expand's
 table and its decimal context live in candidates and not in the CLI,
 only the floor, the step and the two square-root routines take integer
 square roots, only cli's ``_csv_text`` writes CSV, the classification
-sweeps call no public per-row function, and the witness check reads
-neither the walk over remainders nor the divisor criterion."""
+sweeps call no public per-row function, the witness check reads
+neither the walk over remainders nor the divisor criterion, and a digit
+pair is checked by one constructor."""
 
 import ast
 import os
@@ -381,3 +382,25 @@ def test_rational_coordinates_walk_in_blocks():
         names = {node.id for node in ast.walk(function)
                  if isinstance(node, ast.Name)}
         assert calls.count("_qwalk") == 1 and "_qdigit" not in names
+
+
+def _class(module: str, name: str) -> ast.ClassDef:
+    tree = ast.parse((PACKAGE / module).read_text())
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == name)
+
+
+def test_digit_pairs_have_one_check():
+    """``pcf.PartialQuotient.__new__`` is the one check of b >= a >= 1:
+    ``CylinderAddress`` is a subclass that adds no constructor or check of
+    its own, and ``ConvergentSeq`` keeps the pairs it is given without
+    rebuilding them."""
+    cell = _class("gauss2d.py", "CylinderAddress")
+    assert [base.id for base in cell.bases] == ["PartialQuotient"]
+    defined = {node.name for node in cell.body
+               if isinstance(node, ast.FunctionDef)}
+    assert defined & {"__new__", "__init__", "__post_init__"} == set()
+    init = next(node for node in _class("pcf.py", "ConvergentSeq").body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert "PartialQuotient" not in _names(init)

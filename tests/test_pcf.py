@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,6 +15,7 @@ from propcf.exactreal import (
     frac_part,
     sqrt_exact,
 )
+from propcf.gauss2d import CylinderAddress
 from propcf.pcf import (
     ConvergentSeq,
     ImproperDigits,
@@ -110,10 +113,37 @@ def test_digit_pair_must_be_ints_not_bools(pair):
     with pytest.raises(TypeError, match="digit pair must be integers"):
         PartialQuotient(*pair)
     with pytest.raises(TypeError, match="digit pair must be integers"):
+        CylinderAddress(*pair)
+    with pytest.raises(TypeError, match="digit pair must be integers"):
         PCFExpansion.from_pairs([pair])
     # a pair of ints with b < a is still improper, not a type error
     with pytest.raises(ImproperDigits):
         PCFExpansion.from_pairs([(2, 1)])
+
+
+def test_digit_pair_is_a_checked_tuple():
+    pair = PartialQuotient(2, 5)
+    assert pair == (2, 5) and hash(pair) == hash((2, 5))
+    a, b = pair
+    assert (a, b) == (pair.a, pair.b) == (2, 5)
+    assert str(pair) == "2/5" and repr(pair) == "PartialQuotient(a=2, b=5)"
+    for twin in (pickle.loads(pickle.dumps(pair)), copy.copy(pair),
+                 copy.deepcopy(pair)):
+        assert type(twin) is PartialQuotient and twin == pair
+    # an expansion hands out the pairs it holds, which compare as tuples
+    e = PCFExpansion.from_pairs([(2, 5), (1, 3)])
+    assert all(type(q) is PartialQuotient for q in e.pairs())
+    assert e.pairs() == [(2, 5), (1, 3)]
+
+
+def test_convergents_take_any_iterable_of_pairs():
+    e = expand(Rational(5, 6), [4, 3, 2, 1, 1])
+    pairs = [(4, 4), (3, 3), (2, 2), (1, 1), (1, 2)]
+    for given in (iter(pairs), (q for q in e.quotients), e.pairs(), e):
+        seq = ConvergentSeq(given)
+        assert len(seq) == 5
+        assert [seq.pair(n) for n in range(-1, 6)] == \
+            [ConvergentSeq(pairs).pair(n) for n in range(-1, 6)]
 
 
 def test_remainders_stay_in_unit_interval():
@@ -408,6 +438,14 @@ def test_json_round_trip():
     assert expansion_from_json(expansion_to_json(e2)) == e2
     e3 = PCFExpansion((), False)  # a bool tail is its int value
     assert expansion_from_json(expansion_to_json(e3)) == e3
+
+
+@pytest.mark.parametrize("pair", [[1.9, 2], [2, 2.5], [True, 2], ["3", 4]])
+def test_json_refuses_digits_that_are_not_ints(pair):
+    # the reader once ran int() first: [1.9, 2] loaded as [1/2]
+    doc = {"schema": 1, "quotients": [pair], "tail": "0"}
+    with pytest.raises(TypeError, match="digit pair must be integers"):
+        expansion_from_json(doc)
 
 
 def test_json_rejects_unknown_schema():
